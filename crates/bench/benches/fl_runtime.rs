@@ -108,6 +108,13 @@ fn bench_tensor_kernels(c: &mut Criterion) {
     // Local-SGD dense-layer shape: (batch x in) · (in x out).
     let a = Matrix::randn(64, 256, 0.0, 1.0, &mut rng);
     let b = Matrix::randn(256, 128, 0.0, 1.0, &mut rng);
+    // The paper model's first dense layer (resnet18-lite, 192 → 48): a
+    // 32-row SGD batch forward, its weight gradient (inputᵀ · grad_out),
+    // and a 200-row embedding/eval batch forward.
+    let x32 = Matrix::randn(32, 192, 0.0, 1.0, &mut rng);
+    let w1 = Matrix::randn(192, 48, 0.0, 1.0, &mut rng);
+    let g32 = Matrix::randn(32, 48, 0.0, 1.0, &mut rng);
+    let x200 = Matrix::randn(200, 192, 0.0, 1.0, &mut rng);
     // Gram / MMD shape: 200 embeddings at d = 2048 against each other.
     let x = Matrix::randn(200, 2048, 0.0, 1.0, &mut rng);
     let y = Matrix::randn(200, 2048, 0.5, 1.0, &mut rng);
@@ -117,6 +124,9 @@ fn bench_tensor_kernels(c: &mut Criterion) {
     group.bench_function("matmul_64x256x128_naive", |bch| {
         bch.iter(|| naive::matmul(&a, &b))
     });
+    group.bench_function("matmul_32x192x48", |bch| bch.iter(|| x32.matmul(&w1)));
+    group.bench_function("t_matmul_32x192x48", |bch| bch.iter(|| x32.t_matmul(&g32)));
+    group.bench_function("matmul_200x192x48", |bch| bch.iter(|| x200.matmul(&w1)));
     group.bench_function("matmul_t_gram_200x2048_blocked", |bch| {
         bch.iter(|| x.matmul_t(&y))
     });

@@ -228,9 +228,13 @@ pub enum RoundCodec<'a> {
 /// folds whatever matured under `policy`, metering and refunding whatever
 /// the fold quarantines.
 ///
-/// This is the *only* round driver: ShiftEx and every baseline pay for the
-/// same scenario axes and the same bytes, so head-to-head numbers compare
-/// algorithms rather than runtimes.
+/// Every algorithm the experiment runner drives goes through this one
+/// function: ShiftEx and every baseline pay for the same scenario axes and
+/// the same bytes, so head-to-head numbers compare algorithms rather than
+/// runtimes. A legacy path still exists beside it:
+/// [`run_round`](crate::run_round) in `round.rs` drives
+/// `ShiftEx::train_round`/`bootstrap` and [`FederatedJob`](crate::FederatedJob)
+/// until it is deleted in favour of this driver.
 #[allow(clippy::too_many_arguments)] // the round's full I/O surface: wire, fold, meter, seed
 pub fn run_algorithm_round<A: FederatedAlgorithm + ?Sized>(
     algorithm: &mut A,

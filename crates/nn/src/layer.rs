@@ -212,12 +212,7 @@ impl Layer {
     pub fn backward(&self, cache: &LayerCache, grad_out: &Matrix) -> (Matrix, ParamGrad) {
         match (self, cache) {
             (Layer::Dense { w, .. }, LayerCache::Dense(input)) => {
-                let grad_w = input.t_matmul(grad_out);
-                let grad_b = grad_out.col_sums();
-                let grad_in = grad_out.matmul_t(w);
-                let mut g = grad_w.into_vec();
-                g.extend_from_slice(&grad_b);
-                (grad_in, ParamGrad(g))
+                (grad_out.matmul_t(w), dense_param_grad(input, grad_out))
             }
             (Layer::Relu, LayerCache::Relu(out)) => {
                 let grad_in = grad_out.zip_with(out, |g, o| if o > 0.0 { g } else { 0.0 });
@@ -238,7 +233,7 @@ impl Layer {
                     ..
                 },
                 LayerCache::Conv(input),
-            ) => conv_backward(input, grad_out, *in_c, *out_c, *k, *h, *w, weight),
+            ) => conv_backward::<true>(input, grad_out, *in_c, *out_c, *k, *h, *w, weight),
             (Layer::MaxPool2d { c, h, w }, LayerCache::Pool(idx, in_dim)) => {
                 let out_dim = c * (h / 2) * (w / 2);
                 let mut grad_in = Matrix::zeros(grad_out.rows(), *in_dim);
@@ -272,6 +267,36 @@ impl Layer {
             _ => unreachable!("layer/cache variant mismatch"),
         }
     }
+
+    /// The parameter gradients of [`Layer::backward`], bit for bit, without
+    /// computing the input gradient: all the lowest parametric layer of a
+    /// model needs. Non-parametric layers have none.
+    pub fn param_grad(&self, cache: &LayerCache, grad_out: &Matrix) -> ParamGrad {
+        match (self, cache) {
+            (Layer::Dense { .. }, LayerCache::Dense(input)) => dense_param_grad(input, grad_out),
+            (
+                Layer::Conv2d {
+                    in_c,
+                    out_c,
+                    k,
+                    h,
+                    w,
+                    weight,
+                    ..
+                },
+                LayerCache::Conv(input),
+            ) => conv_backward::<false>(input, grad_out, *in_c, *out_c, *k, *h, *w, weight).1,
+            _ => ParamGrad::default(),
+        }
+    }
+}
+
+/// Dense parameter gradients in flatten order: `inputᵀ · grad_out`, then the
+/// bias gradient (column sums of `grad_out`).
+fn dense_param_grad(input: &Matrix, grad_out: &Matrix) -> ParamGrad {
+    let mut g = input.t_matmul(grad_out).into_vec();
+    g.extend_from_slice(&grad_out.col_sums());
+    ParamGrad(g)
 }
 
 /// Per-row standardisation; returns the output and per-row std (eps-floored).
@@ -341,9 +366,10 @@ fn conv_forward(
     (out, ())
 }
 
-/// Backward convolution: gradients w.r.t. input, filters and bias.
+/// Backward convolution: gradients w.r.t. filters and bias and, with
+/// `INPUT_GRAD`, w.r.t. the input (otherwise an empty `batch × 0` matrix).
 #[allow(clippy::too_many_arguments)]
-fn conv_backward(
+fn conv_backward<const INPUT_GRAD: bool>(
     input: &Matrix,
     grad_out: &Matrix,
     in_c: usize,
@@ -355,7 +381,7 @@ fn conv_backward(
 ) -> (Matrix, ParamGrad) {
     let pad = k / 2;
     let batch = input.rows();
-    let mut grad_in = Matrix::zeros(batch, in_c * h * w);
+    let mut grad_in = Matrix::zeros(batch, if INPUT_GRAD { in_c * h * w } else { 0 });
     let mut grad_w = vec![0.0f32; out_c * in_c * k * k];
     let mut grad_b = vec![0.0f32; out_c];
     for b in 0..batch {
@@ -388,7 +414,9 @@ fn conv_backward(
                                 }
                                 let ix = ix as usize;
                                 gw[wbase + ky * k + kx] += g * x[cbase + iy * w + ix];
-                                gi[cbase + iy * w + ix] += g * wrow[wbase + ky * k + kx];
+                                if INPUT_GRAD {
+                                    gi[cbase + iy * w + ix] += g * wrow[wbase + ky * k + kx];
+                                }
                             }
                         }
                     }
@@ -526,6 +554,31 @@ mod tests {
         };
         let x = Matrix::randn(2, 16, 0.0, 1.0, &mut rng);
         grad_check(&mut layer, &x, 5e-2);
+    }
+
+    /// `param_grad` is `backward`'s parameter half, bit for bit.
+    #[test]
+    fn param_grad_matches_backward() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let conv = Layer::Conv2d {
+            in_c: 2,
+            out_c: 3,
+            k: 3,
+            h: 4,
+            w: 4,
+            weight: Matrix::randn(3, 18, 0.0, 0.5, &mut rng),
+            bias: vec![0.0; 3],
+        };
+        for (layer, dim) in [(dense(6, 5, 4), 6), (conv, 32), (Layer::Relu, 6)] {
+            let x = Matrix::randn(3, dim, 0.0, 1.0, &mut rng);
+            let (out, cache) = layer.forward(&x);
+            let g = Matrix::randn(out.rows(), out.cols(), 0.0, 1.0, &mut rng);
+            let ParamGrad(full) = layer.backward(&cache, &g).1;
+            let ParamGrad(only) = layer.param_grad(&cache, &g);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&only), bits(&full));
+            assert_eq!(only.len(), layer.num_params());
+        }
     }
 
     /// Verifies analytic parameter gradients of `layer` against central

@@ -227,10 +227,22 @@ impl Sequential {
         opt: &mut Sgd,
         prox: Option<(&[f32], f32)>,
     ) -> f32 {
-        // Forward with caches.
+        // The backward pass stops at the lowest parametric layer: nothing
+        // below it has parameters, so it computes only its parameter
+        // gradients, and the layers below it (the input InstanceNorm) run
+        // forward without caches.
+        let lowest = self
+            .layers
+            .iter()
+            .position(|l| l.num_params() > 0)
+            .unwrap_or(self.layers.len());
+        let (frozen, trained) = self.layers.split_at(lowest);
         let mut activations = x.clone();
-        let mut caches: Vec<LayerCache> = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
+        for layer in frozen {
+            activations = layer.infer(&activations);
+        }
+        let mut caches: Vec<LayerCache> = Vec::with_capacity(trained.len());
+        for layer in trained {
             let (out, cache) = layer.forward(&activations);
             activations = out;
             caches.push(cache);
@@ -238,11 +250,15 @@ impl Sequential {
         let (loss, mut grad) = softmax_cross_entropy(&activations, labels);
 
         // Backward, collecting parameter gradients in flatten order.
-        let mut grads_rev: Vec<Vec<f32>> = Vec::with_capacity(self.layers.len());
-        for (layer, cache) in self.layers.iter().zip(caches.iter()).rev() {
-            let (grad_in, pgrad) = layer.backward(cache, &grad);
-            grads_rev.push(pgrad.0);
-            grad = grad_in;
+        let mut grads_rev: Vec<Vec<f32>> = Vec::with_capacity(trained.len());
+        for (i, (layer, cache)) in trained.iter().zip(&caches).enumerate().rev() {
+            if i == 0 {
+                grads_rev.push(layer.param_grad(cache, &grad).0);
+            } else {
+                let (grad_in, pgrad) = layer.backward(cache, &grad);
+                grads_rev.push(pgrad.0);
+                grad = grad_in;
+            }
         }
         let mut flat_grad = Vec::with_capacity(self.num_params());
         for g in grads_rev.into_iter().rev() {
@@ -444,6 +460,64 @@ mod tests {
         let model = Sequential::build(&spec, &mut rng);
         let report = model.evaluate(&Matrix::zeros(0, 3), &[]);
         assert_eq!(report.n, 0);
+    }
+
+    /// Golden bit patterns of local SGD, embedding and inference on the
+    /// paper's dense (resnet18-lite, 192→48→24→10) and conv (lenet5-lite)
+    /// models: kernel rewrites must reproduce every output bit. Captured
+    /// on an AVX2+FMA build; without FMA, `vector::dot` (behind
+    /// `matmul_t`) rounds differently, so other targets get other bits.
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    ))]
+    #[test]
+    fn trained_models_are_bit_identical_to_the_golden_capture() {
+        /// FNV-1a over the IEEE-754 bit patterns of `values`.
+        fn bits_hash(values: &[f32]) -> u64 {
+            values.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+                (h ^ u64::from(v.to_bits())).wrapping_mul(0x0100_0000_01b3)
+            })
+        }
+
+        /// Trains `spec` for two epochs on seeded data and hashes the trained
+        /// parameters, a 200-row embedding and the logits bit for bit.
+        fn trained_bits(spec: &ArchSpec) -> [u64; 3] {
+            let mut rng = StdRng::seed_from_u64(12);
+            let mut model = Sequential::build(spec, &mut rng);
+            let dim = spec.input.dim();
+            let x = Matrix::randn(60, dim, 0.5, 1.0, &mut rng);
+            let y: Vec<usize> = (0..60).map(|i| i % spec.classes).collect();
+            model.train(&x, &y, &TrainConfig::default(), &mut rng);
+            let probe = Matrix::randn(200, dim, 0.0, 2.0, &mut rng);
+            [
+                bits_hash(&model.params_flat()),
+                bits_hash(model.embed(&probe).as_slice()),
+                bits_hash(model.forward(&probe).as_slice()),
+            ]
+        }
+
+        let cifar = InputShape { c: 3, h: 8, w: 8 };
+        let dense = trained_bits(&ArchSpec::resnet18_lite(cifar, 10, 24));
+        let mnist = InputShape { c: 1, h: 8, w: 8 };
+        let conv = trained_bits(&ArchSpec::lenet5_lite(mnist, 10, 16));
+        assert_eq!(
+            dense,
+            [
+                11157579318707060372,
+                15406291555130648499,
+                6665247959811270639
+            ]
+        );
+        assert_eq!(
+            conv,
+            [
+                10227057697267948803,
+                11815063396580965429,
+                17057257839262574653
+            ]
+        );
     }
 
     #[test]

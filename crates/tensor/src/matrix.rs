@@ -1,28 +1,37 @@
 //! Row-major `f32` matrix with the operations a small NN stack needs.
 //!
 //! The matrix-product kernels ([`Matrix::matmul`], [`Matrix::matmul_t`],
-//! [`Matrix::t_matmul`]) are blocked for cache reuse, register-tiled over
-//! [`MR`] output rows, and split across scoped worker threads once the
-//! estimated work crosses [`crate::par::PAR_MIN_WORK`] (tiny model matrices
-//! never pay spawn cost). Accumulation order over the shared dimension is
-//! the same ascending order as the textbook loops, so `matmul`/`t_matmul`
-//! results are bit-identical to the naive references in [`naive`];
-//! `matmul_t` rides the lane-unrolled [`crate::vector::dot`] and may differ
-//! by normal `f32` rounding.
+//! [`Matrix::t_matmul`]) are blocked for cache reuse and split across
+//! scoped worker threads once the estimated work crosses
+//! [`crate::par::PAR_MIN_WORK`] (tiny model matrices never pay spawn cost).
+//!
+//! On AVX2+FMA targets `matmul` and `t_matmul` run one register-tiled GEMM
+//! micro-kernel (`crate::simd::gemm`): [`MR`] output rows × 16 columns of
+//! accumulators stay in registers across each [`KC`] depth block, and
+//! `t_matmul` reads its left operand transposed through a stride. Elsewhere
+//! they run the safe axpy kernels below ([`matmul_block`],
+//! [`t_matmul_block`]), whose accumulators live in the output rows. Both
+//! paths apply the same per-element sequence — ascending depth, a separate
+//! multiply then add, zero coefficients contributing nothing — so they are
+//! bit-identical to each other (pinned by a `to_bits` test). Property tests
+//! check every product kernel against the naive references in [`naive`]
+//! within 1e-4; `matmul_t` rides the lane-unrolled [`crate::vector::dot`],
+//! which reorders the sum.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::vector;
 
-/// Register tile height: output rows updated together in [`Matrix::matmul`],
-/// amortising each load of a `rhs` row stripe over four accumulator rows.
-const MR: usize = 4;
-/// Depth (shared-dimension) blocking factor of [`Matrix::matmul`].
-const KC: usize = 256;
-/// Output-column blocking factor of [`Matrix::matmul`]: one `KC × NC` panel
-/// of `rhs` (1 MiB at f32) stays cache-resident while a row tile sweeps it.
-const NC: usize = 1024;
+/// Register tile height: output rows updated together by the product
+/// kernels, amortising each load of a `rhs` row stripe over four rows.
+pub(crate) const MR: usize = 4;
+/// Depth (shared-dimension) blocking factor of the product kernels.
+pub(crate) const KC: usize = 256;
+/// Output-column blocking factor of the product kernels: one `KC × NC`
+/// panel of `rhs` (1 MiB at f32) stays cache-resident while row tiles
+/// sweep it.
+pub(crate) const NC: usize = 1024;
 /// Square tile side of the blocked [`Matrix::transpose`].
 const TB: usize = 32;
 
@@ -253,10 +262,10 @@ impl Matrix {
     /// Matrix product `self · rhs`.
     ///
     /// Blocked over depth (`KC`) and output columns (`NC`) with an
-    /// `MR`-row register tile, and parallelised over output-row chunks for
-    /// large shapes (see [`crate::par`]). Per-element accumulation over the
-    /// shared dimension stays ascending, so results are bit-identical to
-    /// [`naive::matmul`].
+    /// `MR`-row register tile (see the module docs for the two kernels),
+    /// and parallelised over output-row chunks for large shapes (see
+    /// [`crate::par`]). Per-element accumulation over the shared dimension
+    /// stays ascending, skipping zero coefficients.
     ///
     /// # Panics
     ///
@@ -272,18 +281,29 @@ impl Matrix {
         let work = self.rows * kd * n;
         let (a, b) = (&self.data, &rhs.data);
         crate::par::for_each_row_chunk(&mut out.data, n.max(1), work, |first, chunk| {
-            let rows = chunk.len() / n;
-            matmul_block(&a[first * kd..(first + rows) * kd], b, chunk, kd, n);
+            let a_rows = &a[first * kd..(first * kd + chunk.len() / n * kd)];
+            #[cfg(all(
+                target_arch = "x86_64",
+                target_feature = "avx2",
+                target_feature = "fma"
+            ))]
+            crate::simd::gemm(a_rows, kd, 1, b, chunk, kd, n);
+            #[cfg(not(all(
+                target_arch = "x86_64",
+                target_feature = "avx2",
+                target_feature = "fma"
+            )))]
+            matmul_block(a_rows, b, chunk, kd, n);
         });
         out
     }
 
     /// `selfᵀ · rhs` without materialising the transpose.
     ///
-    /// Sweeps the rows of both operands once per output-row chunk,
-    /// accumulating rank-1 updates with the lane-unrolled
-    /// [`crate::vector::axpy`]; zero coefficients (common in post-ReLU
-    /// gradients) skip their update. Bit-identical to [`naive::t_matmul`].
+    /// Runs the same kernels as [`Matrix::matmul`] with `self` read
+    /// transposed (see the module docs), parallelised over output-row
+    /// chunks. Zero coefficients (common in post-ReLU activations)
+    /// contribute nothing.
     ///
     /// # Panics
     ///
@@ -299,16 +319,18 @@ impl Matrix {
         let work = m * ca * n;
         let (a, b) = (&self.data, &rhs.data);
         crate::par::for_each_row_chunk(&mut out.data, n.max(1), work, |first, chunk| {
-            for r in 0..m {
-                let a_row = &a[r * ca..(r + 1) * ca];
-                let b_row = &b[r * n..(r + 1) * n];
-                for (li, out_row) in chunk.chunks_exact_mut(n).enumerate() {
-                    let coeff = a_row[first + li];
-                    if coeff != 0.0 {
-                        vector::axpy(out_row, coeff, b_row);
-                    }
-                }
-            }
+            #[cfg(all(
+                target_arch = "x86_64",
+                target_feature = "avx2",
+                target_feature = "fma"
+            ))]
+            crate::simd::gemm(&a[first..], 1, ca, b, chunk, m, n);
+            #[cfg(not(all(
+                target_arch = "x86_64",
+                target_feature = "avx2",
+                target_feature = "fma"
+            )))]
+            t_matmul_block(a, b, chunk, first, ca, n);
         });
         out
     }
@@ -618,6 +640,14 @@ impl Matrix {
 /// depth `kd`), `b` the full right-hand operand. Output rows are processed
 /// in [`MR`]-row register tiles; within a tile, each depth index broadcasts
 /// one coefficient per row against a cache-resident `KC × NC` panel of `b`.
+#[cfg_attr(
+    all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    ),
+    allow(dead_code) // the AVX2 kernel's bit-exact test reference
+)]
 fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], kd: usize, n: usize) {
     for (t, tile) in out.chunks_mut(MR * n).enumerate() {
         let tile_rows = tile.len() / n;
@@ -659,8 +689,36 @@ fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], kd: usize, n: usize) {
     }
 }
 
+/// Serial `aᵀ · b` kernel over output rows `first..` (columns of `a`,
+/// which has `ca` columns; `b` has `n`): sweeps the rows of both operands
+/// once, accumulating rank-1 updates into `out` with
+/// [`axpy_nonzero`].
+#[cfg_attr(
+    all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    ),
+    allow(dead_code) // the AVX2 kernel's bit-exact test reference
+)]
+fn t_matmul_block(a: &[f32], b: &[f32], out: &mut [f32], first: usize, ca: usize, n: usize) {
+    for (a_row, b_row) in a.chunks_exact(ca).zip(b.chunks_exact(n)) {
+        for (out_row, &coeff) in out.chunks_exact_mut(n).zip(&a_row[first..]) {
+            axpy_nonzero(out_row, coeff, b_row);
+        }
+    }
+}
+
 /// [`vector::axpy`] that skips zero coefficients (sparse activations and
 /// ReLU-masked gradients make these common).
+#[cfg_attr(
+    all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    ),
+    allow(dead_code) // the AVX2 kernel's bit-exact test reference
+)]
 #[inline]
 fn axpy_nonzero(out: &mut [f32], coeff: f32, b: &[f32]) {
     if coeff != 0.0 {
@@ -893,6 +951,86 @@ mod tests {
         let d = m.pairwise_sq_dists(&m);
         for i in 0..6 {
             assert_eq!(d.get(i, i), 0.0, "diagonal entry {i} must be exact 0");
+        }
+    }
+
+    /// The register-tiled AVX2 GEMM against the retained safe kernels.
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    ))]
+    mod avx2_gemm {
+        use super::super::{matmul_block, t_matmul_block};
+        use super::*;
+
+        /// Deterministic operand with ~50 % exact zeros and some `-0.0`.
+        fn sparse_operand(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
+            Matrix::from_fn(rows, cols, |_, _| match rng.random_range(0..20) {
+                0..=9 => 0.0,
+                10 => -0.0,
+                _ => crate::rngx::normal(rng, 0.0, 1.0),
+            })
+        }
+
+        /// Zeroes depth `k / 3` of the left operand (alternating `+0.0` and
+        /// `-0.0`) and plants NaN / ±∞ in the matching row of `b`, so those
+        /// sit only behind zero coefficients; from `k >= 3` on, also makes
+        /// one live coefficient NaN. `at(i, d)` indexes `A[i][d]` in `a`.
+        fn poison(a: &mut Matrix, at: impl Fn(usize, usize) -> usize, m: usize, b: &mut Matrix) {
+            let k = b.rows();
+            for i in 0..m {
+                a.data[at(i, k / 3)] = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+            for (j, v) in b.row_mut(k / 3).iter_mut().enumerate() {
+                *v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, *v][j % 4];
+            }
+            if k >= 3 {
+                a.data[at(m / 2, 2 * k / 3)] = f32::NAN;
+            }
+        }
+
+        fn bits(x: &Matrix) -> Vec<u32> {
+            x.as_slice().iter().map(|v| v.to_bits()).collect()
+        }
+
+        /// `matmul` and `t_matmul` (the dispatched AVX2 path) against the
+        /// safe kernels, bit for bit, at one `(m, k, n)`.
+        fn assert_bit_exact(m: usize, k: usize, n: usize, rng: &mut StdRng) {
+            // matmul: (m × k) · (k × n).
+            let mut a = sparse_operand(m, k, rng);
+            let mut b = sparse_operand(k, n, rng);
+            poison(&mut a, |i, d| i * k + d, m, &mut b);
+            let mut want = Matrix::zeros(m, n);
+            matmul_block(&a.data, &b.data, &mut want.data, k, n);
+            assert_eq!(bits(&a.matmul(&b)), bits(&want), "matmul {m}x{k}x{n}");
+            // t_matmul: (k × m)ᵀ · (k × n), the left operand read strided.
+            let mut a = sparse_operand(k, m, rng);
+            let mut b = sparse_operand(k, n, rng);
+            poison(&mut a, |i, d| d * m + i, m, &mut b);
+            let mut want = Matrix::zeros(m, n);
+            t_matmul_block(&a.data, &b.data, &mut want.data, 0, m, n);
+            assert_eq!(bits(&a.t_matmul(&b)), bits(&want), "t_matmul {m}x{k}x{n}");
+        }
+
+        /// Every row-tile remainder (m 1..=13), every 16/8/masked column
+        /// remainder (n 1..=70), and depths across `KC` (k up to 300), with
+        /// exact zeros, `-0.0` and NaN coefficients and NaN/∞ behind zero
+        /// coefficients.
+        #[test]
+        fn simd_gemm_is_bit_identical_to_safe_kernels() {
+            let mut rng = StdRng::seed_from_u64(23);
+            for k in [1, 2, 7, 64, 255, 256, 257, 300] {
+                for m in 1..=13 {
+                    for n in 1..=70 {
+                        assert_bit_exact(m, k, n, &mut rng);
+                    }
+                }
+            }
+            for k in 1..=300 {
+                assert_bit_exact(13, k, 70, &mut rng);
+                assert_bit_exact(5, k, 11, &mut rng);
+            }
         }
     }
 

@@ -19,7 +19,8 @@ use shiftex::experiments::{
     ALGORITHM_NAMES,
 };
 use shiftex::fl::{
-    AttackKind, AttackSchedule, AttackSpec, ChurnSpec, CodecSpec, FoldPolicy, ScenarioSpec,
+    AttackKind, AttackSchedule, AttackSpec, ChurnSpec, CodecSpec, CommTotals, FoldPolicy,
+    ScenarioSpec,
 };
 
 fn run_named(
@@ -91,6 +92,71 @@ fn shiftex_dense_sync_is_bit_identical_to_pre_refactor_driver() {
     assert_eq!(
         result.comm.down_bytes + result.comm.first_contact_down_bytes,
         206160
+    );
+}
+
+/// The dense-path golden: CIFAR-10-C smoke (resnet18-lite, 192→48→24→10
+/// dense stack), otherwise the same federation and budget as
+/// [`golden_setup`]. Pins the Dense forward/backward kernels the
+/// FashionMNIST golden's conv model barely touches.
+fn dense_golden_setup() -> (Scenario, ScenarioSpec, FedRunOptions) {
+    let scenario =
+        Scenario::build_with_population(DatasetKind::Cifar10C, SimScale::Smoke, 17, None, None);
+    (scenario, ScenarioSpec::sync(9), FedRunOptions::new(1, 2, 2))
+}
+
+#[test]
+fn fedavg_resnet18_lite_dense_path_matches_the_golden_capture() {
+    let (scenario, fed, opts) = dense_golden_setup();
+    let result = run_named("fedavg", &scenario, &fed, &opts);
+    // Captured before the register-tiled GEMM kernel and the truncated
+    // backward pass landed.
+    assert_eq!(
+        acc_bits(&result),
+        vec![1043857408, 1044381696, 1043333120, 1047527424],
+        "accuracy series must be bit-identical to the golden capture"
+    );
+    assert_eq!(result.post_shift_accuracy[0].to_bits(), 1041760256);
+    assert_eq!(result.final_models, 1);
+    assert_eq!(result.param_count, 10690);
+    assert_eq!(
+        result.comm,
+        CommTotals {
+            up_bytes: 684512,
+            down_bytes: 342128,
+            messages: 32,
+            first_contact_down_bytes: 342128,
+            first_contact_messages: 8,
+            ..CommTotals::default()
+        }
+    );
+}
+
+#[test]
+fn shiftex_resnet18_lite_dense_path_matches_the_golden_capture() {
+    let (scenario, fed, opts) = dense_golden_setup();
+    let result = run_named("shiftex", &scenario, &fed, &opts);
+    // Captured before the register-tiled GEMM kernel and the truncated
+    // backward pass landed. The shifted window spawns an expert, so the
+    // embedding path (MMD detection) is pinned too.
+    assert_eq!(
+        acc_bits(&result),
+        vec![1041235968, 1040187392, 1045954560, 1048576000],
+        "accuracy series must be bit-identical to the golden capture"
+    );
+    assert_eq!(result.post_shift_accuracy[0].to_bits(), 1042808832);
+    assert_eq!(result.final_models, 2);
+    assert_eq!(result.param_count, 10690);
+    assert_eq!(
+        result.comm,
+        CommTotals {
+            up_bytes: 1026768,
+            down_bytes: 555958,
+            messages: 48,
+            first_contact_down_bytes: 470426,
+            first_contact_messages: 11,
+            ..CommTotals::default()
+        }
     );
 }
 
