@@ -266,8 +266,8 @@ mod tests {
     use rand::SeedableRng;
     use shiftex_data::{Corruption, ImageShape, PrototypeGenerator, Regime};
     use shiftex_fl::{
-        run_algorithm_round, CodecSpec, Party, PopulationStore, ScenarioEngine, ScenarioSpec,
-        UniformSelector,
+        run_algorithm_round, CodecSpec, LocalTransport, Party, PopulationStore, RoundCodec,
+        ScenarioEngine, ScenarioSpec, UniformSelector,
     };
 
     fn make(n: usize, rng: &mut StdRng) -> (PrototypeGenerator, Vec<Party>) {
@@ -293,11 +293,12 @@ mod tests {
                 alg,
                 &store,
                 &mut engine,
-                &CodecSpec::dense(),
+                RoundCodec::Static(&CodecSpec::dense()),
                 &mut UniformSelector,
                 &FoldPolicy::Mean,
                 None,
                 rng,
+                &mut LocalTransport,
             );
         }
     }

@@ -151,8 +151,8 @@ mod tests {
     use rand::SeedableRng;
     use shiftex_data::{ImageShape, PrototypeGenerator};
     use shiftex_fl::{
-        run_algorithm_round, CodecSpec, Party, PopulationStore, ScenarioEngine, ScenarioSpec,
-        UniformSelector,
+        run_algorithm_round, CodecSpec, LocalTransport, Party, PopulationStore, RoundCodec,
+        ScenarioEngine, ScenarioSpec, UniformSelector,
     };
 
     #[test]
@@ -186,11 +186,12 @@ mod tests {
                 &mut alg,
                 &store,
                 &mut engine,
-                &CodecSpec::dense(),
+                RoundCodec::Static(&CodecSpec::dense()),
                 &mut UniformSelector,
                 &FoldPolicy::Mean,
                 None,
                 &mut rng,
+                &mut LocalTransport,
             );
         }
         assert!(alg.eval(&store.view(store.party_ids())) > 0.3);

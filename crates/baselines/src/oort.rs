@@ -328,7 +328,7 @@ mod tests {
         use crate::FedAvg;
         use shiftex_fl::{
             run_algorithm_round, ChurnSpec, CodecSpec, FederatedAlgorithm, FoldPolicy,
-            PopulationStore, ScenarioEngine, ScenarioSpec,
+            LocalTransport, PopulationStore, RoundCodec, ScenarioEngine, ScenarioSpec,
         };
         use shiftex_nn::{ArchSpec, TrainConfig};
         let mut rng = StdRng::seed_from_u64(3);
@@ -347,11 +347,12 @@ mod tests {
                 &mut alg,
                 &store,
                 &mut engine,
-                &CodecSpec::dense(),
+                RoundCodec::Static(&CodecSpec::dense()),
                 &mut sel,
                 &FoldPolicy::Mean,
                 None,
                 &mut rng,
+                &mut LocalTransport,
             )
             .lost
             .len();

@@ -4,10 +4,15 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
+use shiftex_baselines::FedAvg;
 use shiftex_core::{ShiftEx, ShiftExConfig};
 use shiftex_data::{Corruption, ImageShape, PrototypeGenerator, Regime};
-use shiftex_fl::{run_round, Party, PartyId, RoundConfig};
-use shiftex_nn::{fedavg, ArchSpec, Sequential};
+use shiftex_fl::{
+    run_algorithm_round, AlgoRoundOutcome, CodecSpec, CommLedger, FederatedAlgorithm, FoldPolicy,
+    LocalTransport, Party, PartyId, PopulationStore, RoundCodec, ScenarioEngine, ScenarioSpec,
+    UniformSelector,
+};
+use shiftex_nn::{fedavg, ArchSpec, TrainConfig};
 
 fn make_parties(n: usize, samples: usize, seed: u64) -> (PrototypeGenerator, Vec<Party>) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -24,27 +29,69 @@ fn make_parties(n: usize, samples: usize, seed: u64) -> (PrototypeGenerator, Vec
     (gen, parties)
 }
 
+/// A FedAvg over `store` initialised from a fixed seed, so every bench
+/// iteration starts from the same globals.
+fn fresh_fedavg(spec: &ArchSpec, store: &PopulationStore, cohort: usize) -> FedAvg {
+    let mut alg = FedAvg::new(spec.clone(), TrainConfig::default(), cohort);
+    alg.init(
+        &store.view(store.party_ids()),
+        &mut StdRng::seed_from_u64(1),
+    );
+    alg
+}
+
+/// One driver round under a static codec, uniform selection and the mean
+/// fold, exchanged in process.
+fn driver_round(
+    alg: &mut dyn FederatedAlgorithm,
+    store: &PopulationStore,
+    engine: &mut ScenarioEngine,
+    codec: &CodecSpec,
+    ledger: Option<&CommLedger>,
+    rng: &mut StdRng,
+) -> AlgoRoundOutcome {
+    run_algorithm_round(
+        alg,
+        store,
+        engine,
+        RoundCodec::Static(codec),
+        &mut UniformSelector,
+        &FoldPolicy::Mean,
+        ledger,
+        rng,
+        &mut LocalTransport,
+    )
+}
+
 fn bench_round(c: &mut Criterion) {
     let (_, parties) = make_parties(8, 40, 0);
+    let store = PopulationStore::from_parties(parties);
+    let ids = store.party_ids();
     let spec = ArchSpec::resnet18_lite(shiftex_nn::InputShape { c: 3, h: 8, w: 8 }, 10, 24);
-    let mut rng = StdRng::seed_from_u64(1);
-    let init = Sequential::build(&spec, &mut rng).params_flat();
-    let cohort: Vec<&Party> = parties.iter().collect();
     let mut group = c.benchmark_group("federated_round");
     group.sample_size(10);
-    for parallel in [false, true] {
-        let cfg = RoundConfig {
-            parallel,
-            ..RoundConfig::default()
-        };
-        let label = if parallel { "parallel" } else { "serial" };
-        group.bench_function(format!("8_parties_{label}"), |b| {
-            b.iter(|| {
-                let mut rng = StdRng::seed_from_u64(2);
-                run_round(&spec, &init, &cohort, &cfg, None, &mut rng)
-            })
-        });
-    }
+    group.bench_function("8_parties_serial", |b| {
+        b.iter_with_setup(
+            || {
+                let engine = ScenarioEngine::new(ScenarioSpec::sync(1), &ids);
+                (
+                    fresh_fedavg(&spec, &store, 8),
+                    engine,
+                    StdRng::seed_from_u64(2),
+                )
+            },
+            |(mut alg, mut engine, mut rng)| {
+                driver_round(
+                    &mut alg,
+                    &store,
+                    &mut engine,
+                    &CodecSpec::dense(),
+                    None,
+                    &mut rng,
+                )
+            },
+        )
+    });
     group.finish();
 }
 
@@ -66,7 +113,7 @@ fn bench_window_step(c: &mut Criterion) {
     group.bench_function("process_window_8_parties", |b| {
         b.iter_with_setup(
             || {
-                let (gen, mut parties) = make_parties(8, 40, 4);
+                let (gen, parties) = make_parties(8, 40, 4);
                 let spec =
                     ArchSpec::resnet18_lite(shiftex_nn::InputShape { c: 3, h: 8, w: 8 }, 10, 24);
                 let mut rng = StdRng::seed_from_u64(5);
@@ -78,10 +125,17 @@ fn bench_window_step(c: &mut Criterion) {
                     spec,
                     &mut rng,
                 );
-                shiftex.bootstrap(&parties, 2, &mut rng);
+                let mut store = PopulationStore::from_parties(parties);
+                let ids = store.party_ids();
+                shiftex.init(&store.view(ids.clone()), &mut rng);
+                let mut engine = ScenarioEngine::new(ScenarioSpec::sync(5), &ids);
+                for _ in 0..2 {
+                    let dense = CodecSpec::dense();
+                    driver_round(&mut shiftex, &store, &mut engine, &dense, None, &mut rng);
+                }
                 let fog = Regime::corrupted(Corruption::Fog, 5);
-                for (i, p) in parties.iter_mut().enumerate() {
-                    let (tr, te) = if i < 4 {
+                store.advance_window_with(1, |p| {
+                    let (tr, te) = if p.id().0 < 4 {
                         (
                             gen.generate_with_regime(40, &fog, &mut rng),
                             gen.generate_with_regime(20, &fog, &mut rng),
@@ -93,10 +147,12 @@ fn bench_window_step(c: &mut Criterion) {
                         )
                     };
                     p.advance_window(tr, te);
-                }
-                (shiftex, parties, rng)
+                });
+                (shiftex, store, rng)
             },
-            |(mut shiftex, parties, mut rng)| shiftex.process_window(&parties, &mut rng),
+            |(mut shiftex, store, mut rng)| {
+                shiftex.process_window(&store.view(store.party_ids()), &mut rng)
+            },
         )
     });
     group.finish();
@@ -138,10 +194,7 @@ fn bench_tensor_kernels(c: &mut Criterion) {
 }
 
 fn bench_scenarios(c: &mut Criterion) {
-    use shiftex_fl::{
-        run_round_scenario, AsyncSpec, ChurnSpec, LatePolicy, ScenarioEngine, ScenarioSpec,
-        StragglerSpec,
-    };
+    use shiftex_fl::{AsyncSpec, ChurnSpec, LatePolicy, StragglerSpec};
     // A 100-party federation on a deliberately small model: the group
     // measures the *runtime's* per-round cost (selection, fates, buffering,
     // weighted aggregation) rather than local SGD throughput.
@@ -156,29 +209,10 @@ fn bench_scenarios(c: &mut Criterion) {
             )
         })
         .collect();
-    let ids: Vec<PartyId> = parties.iter().map(|p| p.id()).collect();
+    let store = PopulationStore::from_parties(parties);
+    let ids = store.party_ids();
     let spec = ArchSpec::mlp("scen", 36, &[16], 4);
-    let init = Sequential::build(&spec, &mut rng).params_flat();
-    let cohort: Vec<&Party> = parties.iter().collect();
-    let cfg = RoundConfig {
-        participants_per_round: 100,
-        ..RoundConfig::default()
-    };
 
-    let mut group = c.benchmark_group("fl_scenarios");
-    group.sample_size(10);
-    group.bench_function("sync_round_100_parties", |b| {
-        b.iter_with_setup(
-            || {
-                let mut engine = ScenarioEngine::new(ScenarioSpec::sync(1), &ids);
-                engine.begin_round();
-                (engine, StdRng::seed_from_u64(2))
-            },
-            |(mut engine, mut rng)| {
-                run_round_scenario(&spec, &init, &cohort, &cfg, &mut engine, 0, None, &mut rng)
-            },
-        )
-    });
     let churny = ScenarioSpec::sync(1)
         .with_churn(ChurnSpec::dropout_only(0.15))
         .with_stragglers(StragglerSpec::uniform(0.8, 1.0, LatePolicy::Defer))
@@ -188,23 +222,34 @@ fn bench_scenarios(c: &mut Criterion) {
             max_staleness: 4,
             server_lr: 1.0,
         });
-    group.bench_function("async_churn_round_100_parties", |b| {
-        b.iter_with_setup(
-            || {
-                let mut engine = ScenarioEngine::new(churny.clone(), &ids);
-                engine.begin_round();
-                (engine, StdRng::seed_from_u64(2))
-            },
-            |(mut engine, mut rng)| {
-                run_round_scenario(&spec, &init, &cohort, &cfg, &mut engine, 0, None, &mut rng)
-            },
-        )
-    });
+    let mut group = c.benchmark_group("fl_scenarios");
+    group.sample_size(10);
+    for (label, fed) in [
+        ("sync_round_100_parties", ScenarioSpec::sync(1)),
+        ("async_churn_round_100_parties", churny),
+    ] {
+        group.bench_function(label, |b| {
+            b.iter_with_setup(
+                || {
+                    let engine = ScenarioEngine::new(fed.clone(), &ids);
+                    (
+                        fresh_fedavg(&spec, &store, 100),
+                        engine,
+                        StdRng::seed_from_u64(2),
+                    )
+                },
+                |(mut alg, mut engine, mut rng)| {
+                    let dense = CodecSpec::dense();
+                    driver_round(&mut alg, &store, &mut engine, &dense, None, &mut rng)
+                },
+            )
+        });
+    }
     group.finish();
 }
 
 fn bench_codecs(c: &mut Criterion) {
-    use shiftex_fl::{run_round_scenario, CodecSpec, ModelUpdate, ScenarioEngine, ScenarioSpec};
+    use shiftex_fl::ModelUpdate;
     let mut rng = StdRng::seed_from_u64(8);
     // Encode/decode throughput on a production-ish flat model (100k params).
     let n = 100_000usize;
@@ -248,34 +293,23 @@ fn bench_codecs(c: &mut Criterion) {
             )
         })
         .collect();
-    let ids: Vec<PartyId> = parties.iter().map(|p| p.id()).collect();
+    let store = PopulationStore::from_parties(parties);
+    let ids = store.party_ids();
     let spec = ArchSpec::mlp("codec", 36, &[16], 4);
-    let init = Sequential::build(&spec, &mut rng).params_flat();
-    let cohort: Vec<&Party> = parties.iter().collect();
-    let cfg = RoundConfig {
-        participants_per_round: 100,
-        codec: CodecSpec::quant8(256).with_delta(),
-        ..RoundConfig::default()
-    };
+    let codec = CodecSpec::quant8(256).with_delta();
     group.bench_function("e2e_round_quant8_100_parties", |b| {
         b.iter_with_setup(
             || {
-                let mut engine = ScenarioEngine::new(ScenarioSpec::sync(1), &ids);
-                engine.begin_round();
-                (
-                    engine,
-                    shiftex_fl::CommLedger::new(),
-                    StdRng::seed_from_u64(2),
-                )
+                let engine = ScenarioEngine::new(ScenarioSpec::sync(1), &ids);
+                let alg = fresh_fedavg(&spec, &store, 100);
+                (alg, engine, CommLedger::new(), StdRng::seed_from_u64(2))
             },
-            |(mut engine, ledger, mut rng)| {
-                run_round_scenario(
-                    &spec,
-                    &init,
-                    &cohort,
-                    &cfg,
+            |(mut alg, mut engine, ledger, mut rng)| {
+                driver_round(
+                    &mut alg,
+                    &store,
                     &mut engine,
-                    0,
+                    &codec,
                     Some(&ledger),
                     &mut rng,
                 )
@@ -286,12 +320,8 @@ fn bench_codecs(c: &mut Criterion) {
 }
 
 fn bench_algorithms(c: &mut Criterion) {
-    use shiftex_baselines::{FedAvg, FedDrift, FedDriftConfig, FedProx, Fielding, Flips};
-    use shiftex_fl::{
-        run_algorithm_round, ChurnSpec, CodecSpec, FederatedAlgorithm, FoldPolicy, PopulationStore,
-        ScenarioEngine, ScenarioSpec, UniformSelector,
-    };
-    use shiftex_nn::TrainConfig;
+    use shiftex_baselines::{FedDrift, FedDriftConfig, FedProx, Fielding, Flips};
+    use shiftex_fl::ChurnSpec;
 
     // One churned quantised round per algorithm through the one generic
     // driver, at 100 parties on a deliberately small model: measures each
@@ -360,13 +390,11 @@ fn bench_algorithms(c: &mut Criterion) {
                     (engine, StdRng::seed_from_u64(11))
                 },
                 |(mut engine, mut rng)| {
-                    run_algorithm_round(
+                    driver_round(
                         algorithm.as_mut(),
                         &store,
                         &mut engine,
                         &codec,
-                        &mut UniformSelector,
-                        &FoldPolicy::Mean,
                         None,
                         &mut rng,
                     )
@@ -378,12 +406,7 @@ fn bench_algorithms(c: &mut Criterion) {
 }
 
 fn bench_robust(c: &mut Criterion) {
-    use shiftex_baselines::FedAvg;
-    use shiftex_fl::{
-        run_algorithm_round, AttackKind, AttackSpec, CodecSpec, FederatedAlgorithm, FoldPolicy,
-        PopulationStore, ScenarioEngine, ScenarioSpec, UniformSelector,
-    };
-    use shiftex_nn::TrainConfig;
+    use shiftex_fl::{AttackKind, AttackSpec};
 
     // One hostile 100-party round per robust fold: 20 % sign-flip
     // adversaries against Krum (O(n²·d) pairwise distances — the costliest
@@ -428,11 +451,12 @@ fn bench_robust(c: &mut Criterion) {
                         &mut algorithm,
                         &store,
                         &mut engine,
-                        &codec,
+                        RoundCodec::Static(&codec),
                         &mut UniformSelector,
                         &fold,
                         None,
                         &mut rng,
+                        &mut LocalTransport,
                     )
                 },
             )
@@ -442,14 +466,9 @@ fn bench_robust(c: &mut Criterion) {
 }
 
 fn bench_population(c: &mut Criterion) {
-    use shiftex_baselines::FedAvg;
     use shiftex_data::{DatasetKind, SimScale};
     use shiftex_experiments::{LazyPopulation, Scenario};
-    use shiftex_fl::{
-        run_algorithm_round, ChurnSpec, CodecSpec, FederatedAlgorithm, FoldPolicy, ScenarioEngine,
-        ScenarioSpec, UniformSelector,
-    };
-    use shiftex_nn::TrainConfig;
+    use shiftex_fl::ChurnSpec;
 
     // A churned, quantised 10_000-party round through the lazy population
     // store: only the ~10-party sampled cohort is ever materialized, so the
@@ -484,16 +503,7 @@ fn bench_population(c: &mut Criterion) {
                 (engine, StdRng::seed_from_u64(25))
             },
             |(mut engine, mut rng)| {
-                run_algorithm_round(
-                    &mut algorithm,
-                    &store,
-                    &mut engine,
-                    &codec,
-                    &mut UniformSelector,
-                    &FoldPolicy::Mean,
-                    None,
-                    &mut rng,
-                )
+                driver_round(&mut algorithm, &store, &mut engine, &codec, None, &mut rng)
             },
         )
     });
@@ -507,12 +517,7 @@ fn bench_population(c: &mut Criterion) {
 }
 
 fn bench_join(c: &mut Criterion) {
-    use shiftex_baselines::FedAvg;
-    use shiftex_fl::{
-        run_algorithm_round, run_algorithm_round_with, BudgetSpec, ChurnSpec, CodecController,
-        CodecSpec, FederatedAlgorithm, FoldPolicy, JoinConfig, PopulationStore, RoundCodec,
-        ScenarioEngine, ScenarioSpec, UniformSelector,
-    };
+    use shiftex_fl::{BudgetSpec, ChurnSpec, CodecController, JoinConfig};
     use shiftex_nn::TrainConfig;
 
     // First-contact sync cost under churn: a 100-party round where the
@@ -556,16 +561,7 @@ fn bench_join(c: &mut Criterion) {
                 (engine, StdRng::seed_from_u64(50))
             },
             |(mut engine, mut rng)| {
-                run_algorithm_round(
-                    &mut algorithm,
-                    &store,
-                    &mut engine,
-                    &dense,
-                    &mut UniformSelector,
-                    &FoldPolicy::Mean,
-                    None,
-                    &mut rng,
-                )
+                driver_round(&mut algorithm, &store, &mut engine, &dense, None, &mut rng)
             },
         )
     });
@@ -577,7 +573,7 @@ fn bench_join(c: &mut Criterion) {
                 (engine, StdRng::seed_from_u64(50))
             },
             |(mut engine, mut rng)| {
-                run_algorithm_round_with(
+                run_algorithm_round(
                     &mut algorithm,
                     &store,
                     &mut engine,
@@ -586,6 +582,7 @@ fn bench_join(c: &mut Criterion) {
                     &FoldPolicy::Mean,
                     None,
                     &mut rng,
+                    &mut LocalTransport,
                 )
             },
         )
@@ -602,10 +599,6 @@ fn bench_net(c: &mut Criterion) {
     use shiftex_experiments::{
         build_algorithm, netfed_fed_seed, netfed_stream_seed, run_worker, worker_partition,
         FedSelector, LazyPopulation, NetFedConfig, Scenario,
-    };
-    use shiftex_fl::{
-        run_algorithm_round_transported, CodecSpec, CommLedger, FoldPolicy, RoundCodec,
-        ScenarioEngine, ScenarioSpec, UniformSelector,
     };
     use shiftex_net::Coordinator;
 
@@ -664,7 +657,7 @@ fn bench_net(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("loopback_round_trip_dense_4_workers", |b| {
         b.iter(|| {
-            run_algorithm_round_transported(
+            run_algorithm_round(
                 algorithm.as_mut(),
                 &store,
                 &mut engine,

@@ -6,7 +6,6 @@
 //! train each expert with FLIPS label-balanced cohorts, locally fine-tune
 //! sub-γ clusters, and consolidate near-duplicate experts.
 
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
@@ -14,9 +13,8 @@ use serde::{Deserialize, Serialize};
 use shiftex_cluster::choose_k;
 use shiftex_detect::{CalibratedThresholds, EmbeddingProfile, RbfKernel, ThresholdCalibrator};
 use shiftex_fl::{
-    aggregate_robust, run_round, FederatedAlgorithm, FoldPolicy, ParticipantSelector, Party,
-    PartyId, PartyInfo, PopulationView, RoundConfig, UniformSelector, UpdateVerdict,
-    WeightedUpdate,
+    aggregate_robust, FederatedAlgorithm, FoldPolicy, ParticipantSelector, PartyId, PartyInfo,
+    PopulationView, UniformSelector, UpdateVerdict, WeightedUpdate,
 };
 use shiftex_flips::FlipsSelector;
 use shiftex_nn::{train_local_params, ArchSpec, Sequential, TrainConfig};
@@ -26,7 +24,7 @@ use crate::config::ShiftExConfig;
 use crate::consolidate::{consolidate_experts, MergeEvent};
 use crate::party::{compute_shift_stats, ShiftStats};
 use crate::registry::{ExpertId, ExpertRegistry};
-use crate::strategy::{build_model, evaluate_assigned_refs, evaluate_assigned_view};
+use crate::strategy::{build_model, evaluate_assigned_view};
 
 /// Upper bound on the parties contributing embeddings to threshold
 /// calibration. The split-half null needs a representative sample, not the
@@ -35,68 +33,6 @@ use crate::strategy::{build_model, evaluate_assigned_refs, evaluate_assigned_vie
 /// calibration strides evenly across the id space instead. Populations at
 /// or below the cap use every party — bit-identical to the uncapped code.
 const CALIBRATION_MAX_PARTIES: usize = 64;
-
-/// How the aggregator reaches enrolled members: by id, one at a time —
-/// either a liveness-filtered [`PopulationView`] (parties materialize
-/// lazily and are dropped after the closure) or a resident slice (the
-/// legacy representation the public slice APIs keep).
-trait MemberAccess {
-    /// Member ids in iteration order.
-    fn member_ids(&self) -> Vec<PartyId>;
-    /// Whether `id` is an enrolled member.
-    fn contains(&self, id: PartyId) -> bool;
-    /// Borrows `id`'s party for the duration of `f`.
-    fn with_member<R>(&self, id: PartyId, f: impl FnOnce(&Party) -> R) -> Option<R>;
-    /// `id`'s publishable metadata.
-    fn member_info(&self, id: PartyId) -> Option<PartyInfo>;
-}
-
-impl MemberAccess for PopulationView<'_> {
-    fn member_ids(&self) -> Vec<PartyId> {
-        self.ids().to_vec()
-    }
-    fn contains(&self, id: PartyId) -> bool {
-        PopulationView::contains(self, id)
-    }
-    fn with_member<R>(&self, id: PartyId, f: impl FnOnce(&Party) -> R) -> Option<R> {
-        self.with_party(id, f)
-    }
-    fn member_info(&self, id: PartyId) -> Option<PartyInfo> {
-        self.info(id)
-    }
-}
-
-/// Resident-slice access for the legacy `&[Party]` / `&[&Party]` APIs.
-struct SliceAccess<'a, P: Borrow<Party>> {
-    items: &'a [P],
-    index: BTreeMap<PartyId, usize>,
-}
-
-impl<'a, P: Borrow<Party>> SliceAccess<'a, P> {
-    fn new(items: &'a [P]) -> Self {
-        let index = items
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.borrow().id(), i))
-            .collect();
-        Self { items, index }
-    }
-}
-
-impl<P: Borrow<Party>> MemberAccess for SliceAccess<'_, P> {
-    fn member_ids(&self) -> Vec<PartyId> {
-        self.items.iter().map(|p| p.borrow().id()).collect()
-    }
-    fn contains(&self, id: PartyId) -> bool {
-        self.index.contains_key(&id)
-    }
-    fn with_member<R>(&self, id: PartyId, f: impl FnOnce(&Party) -> R) -> Option<R> {
-        self.index.get(&id).map(|&i| f(self.items[i].borrow()))
-    }
-    fn member_info(&self, id: PartyId) -> Option<PartyInfo> {
-        self.with_member(id, |p| p.info())
-    }
-}
 
 /// What happened in one window of aggregator-side processing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -258,19 +194,12 @@ impl ShiftEx {
         self.stats.values()
     }
 
-    /// Bootstrap phase (§4.1): creates expert 0 from the template, assigns
-    /// every party to it, runs `rounds` FLIPS-balanced federated rounds, and
-    /// records each party's initial profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parties` is empty.
-    pub fn bootstrap(&mut self, parties: &[Party], rounds: usize, rng: &mut StdRng) {
-        self.bootstrap_impl(&SliceAccess::new(parties), rounds, rng);
-    }
-
-    fn bootstrap_impl<M: MemberAccess>(&mut self, parties: &M, rounds: usize, rng: &mut StdRng) {
-        let ids = parties.member_ids();
+    /// Bootstrap enrolment (§4.1): creates expert 0 from the template,
+    /// assigns every party to it and records each party's initial profile.
+    /// Burn-in training is the round driver's job; the encoder freezes at
+    /// the first [`ShiftEx::process_window`].
+    fn enrol(&mut self, parties: &PopulationView<'_>, rng: &mut StdRng) {
+        let ids = parties.ids().to_vec();
         assert!(!ids.is_empty(), "bootstrap needs parties");
         self.window = 0;
         // Provisional stats (for FLIPS label histograms during the burn-in
@@ -280,7 +209,7 @@ impl ShiftEx {
         let provisional: Vec<ShiftStats> = ids
             .iter()
             .filter_map(|&id| {
-                parties.with_member(id, |p| {
+                parties.with_party(id, |p| {
                     compute_shift_stats(p, &template, self.cfg.profile_rows, None, rng)
                 })
             })
@@ -297,23 +226,17 @@ impl ShiftEx {
             self.stats.insert(s.party, s);
         }
         self.refresh_cohort_sizes();
-        for _ in 0..rounds {
-            self.train_round_impl(parties, rng);
-        }
-        // Freeze the encoder at the bootstrap-trained global model and keep
-        // θ0 = that model as the clone template for new experts.
-        let trained = self.registry.live(expert0).params.clone();
-        self.bootstrap_params = trained.clone();
-        self.encoder_params = trained;
 
-        // Recompute stats and the expert-0 latent signature under the frozen
-        // encoder so every later comparison shares one embedding space.
-        let encoder = build_model(&self.spec, &self.encoder_params);
+        // A second pass draws the stats and the expert-0 latent signature
+        // the window-0 detector state starts from. The encoder is still the
+        // template here (θ0 and the encoder only move at the first window's
+        // freeze), and the pass keeps the run's RNG stream where every
+        // pinned fixture expects it.
         let final_stats: Vec<ShiftStats> = ids
             .iter()
             .filter_map(|&id| {
-                parties.with_member(id, |p| {
-                    compute_shift_stats(p, &encoder, self.cfg.profile_rows, None, rng)
+                parties.with_party(id, |p| {
+                    compute_shift_stats(p, &template, self.cfg.profile_rows, None, rng)
                 })
             })
             .collect();
@@ -323,34 +246,26 @@ impl ShiftEx {
         self.stats = final_stats.into_iter().map(|s| (s.party, s)).collect();
     }
 
-    /// Processes one new window (Algorithm 2 body). Parties' data must have
-    /// been advanced first.
+    /// Processes one new window (Algorithm 2 body) over the enrolled
+    /// `parties`, whose data must have been advanced first. Each member is
+    /// materialized, summarised and dropped in turn.
     pub fn process_window(
         &mut self,
-        parties: &[impl Borrow<Party>],
-        rng: &mut StdRng,
-    ) -> WindowReport {
-        self.process_window_impl(&SliceAccess::new(parties), rng)
-    }
-
-    fn process_window_impl<M: MemberAccess>(
-        &mut self,
-        parties: &M,
+        parties: &PopulationView<'_>,
         rng: &mut StdRng,
     ) -> WindowReport {
         self.window += 1;
         if self.window == 1 {
-            // End of the burn-in: W0 training (however it was driven — via
-            // `bootstrap(…, rounds)` or external `train_round` calls) is
-            // complete, so *now* freeze the encoder and the θ0 clone
-            // template at the trained global model, and re-tag expert 0's
-            // latent memory in the frozen embedding space.
-            self.freeze_encoder_impl(parties, rng);
+            // End of the burn-in: the driver's W0 rounds are complete, so
+            // *now* freeze the encoder and the θ0 clone template at the
+            // trained global model, and re-tag expert 0's latent memory in
+            // the frozen embedding space.
+            self.freeze_encoder(parties, rng);
         }
         // --- Thresholds and kernel: calibrate lazily from the previous
         // (stable) window before any score is computed, so every MMD below
         // shares the calibrated bandwidth.
-        let thresholds = self.ensure_thresholds_impl(parties, rng);
+        let thresholds = self.ensure_thresholds(parties, rng);
 
         // --- Party side (Algorithm 1): compute and "transmit" statistics.
         // All embeddings come from the frozen encoder so windows, parties
@@ -360,10 +275,10 @@ impl ShiftEx {
         let encoder = build_model(&self.spec, &self.encoder_params);
         let kernel = self.kernel;
         let all_stats: Vec<ShiftStats> = parties
-            .member_ids()
-            .into_iter()
-            .filter_map(|id| {
-                parties.with_member(id, |party| {
+            .ids()
+            .iter()
+            .filter_map(|&id| {
+                parties.with_party(id, |party| {
                     compute_shift_stats(
                         party,
                         &encoder,
@@ -445,7 +360,7 @@ impl ShiftEx {
                         cfg.epochs = self.cfg.finetune_epochs;
                         // Members are drawn from `parties`' own stats lines
                         // above, so the lookup always lands.
-                        let fit = parties.with_member(*id, |party| {
+                        let fit = parties.with_party(*id, |party| {
                             train_local_params(
                                 &self.spec,
                                 &base,
@@ -532,52 +447,14 @@ impl ShiftEx {
         id
     }
 
-    /// Runs one communication round: every expert trains on its cohort with
-    /// FLIPS (or uniform, per config) selection; personalised parties run a
-    /// local step instead.
-    pub fn train_round(&mut self, parties: &[Party], rng: &mut StdRng) {
-        self.train_round_impl(&SliceAccess::new(parties), rng);
-    }
-
-    fn train_round_impl<M: MemberAccess>(&mut self, parties: &M, rng: &mut StdRng) {
-        let round_cfg = self.round_config();
-        for expert_id in self.registry.ids() {
-            let cohort_ids = self.expert_cohort_impl(expert_id, parties, rng);
-            // Materialize only this expert's cohort; it is dropped again at
-            // the end of the iteration.
-            let cohort: Vec<Party> = cohort_ids
-                .iter()
-                .filter_map(|&id| parties.with_member(id, Party::clone))
-                .collect();
-            if cohort.is_empty() {
-                continue;
-            }
-            let cohort_refs: Vec<&Party> = cohort.iter().collect();
-            let params = self.registry.live(expert_id).params.clone();
-            let outcome = run_round(&self.spec, &params, &cohort_refs, &round_cfg, None, rng);
-            self.registry.live_mut(expert_id).params = outcome.params;
-        }
-        self.personal_steps_impl(parties, rng);
-    }
-
-    /// Round configuration shared by every expert's federated round.
-    fn round_config(&self) -> RoundConfig {
-        RoundConfig {
-            train: self.cfg.train,
-            participants_per_round: self.cfg.participants_per_round,
-            parallel: false,
-            codec: self.cfg.codec,
-        }
-    }
-
     /// Selects this round's cohort for `expert_id` from the (already
     /// liveness-filtered) member view of the population, in selection
     /// order with empty-train parties dropped. Only metadata
     /// ([`PartyInfo`]) is consulted — no party materializes here.
-    fn expert_cohort_impl<M: MemberAccess>(
+    fn expert_cohort(
         &self,
         expert_id: ExpertId,
-        parties: &M,
+        parties: &PopulationView<'_>,
         rng: &mut StdRng,
     ) -> Vec<PartyId> {
         let cohort_ids: Vec<PartyId> = self
@@ -594,7 +471,7 @@ impl ShiftEx {
         let infos: Vec<PartyInfo> = cohort_ids
             .iter()
             .filter_map(|id| {
-                let mut info = parties.member_info(*id)?;
+                let mut info = parties.info(*id)?;
                 if let Some(s) = self.stats.get(id) {
                     info.label_hist = s.label_hist.clone();
                 }
@@ -609,23 +486,19 @@ impl ShiftEx {
         };
         chosen
             .into_iter()
-            .filter(|id| {
-                parties
-                    .member_info(*id)
-                    .is_some_and(|info| info.num_samples > 0)
-            })
+            .filter(|id| parties.info(*id).is_some_and(|info| info.num_samples > 0))
             .collect()
     }
 
     /// Personalised parties take one local continuation step.
-    fn personal_steps_impl<M: MemberAccess>(&mut self, parties: &M, rng: &mut StdRng) {
+    fn personal_steps(&mut self, parties: &PopulationView<'_>, rng: &mut StdRng) {
         let personal_ids: Vec<PartyId> = self.personal.keys().copied().collect();
         for id in personal_ids {
             let base = self.personal[&id].clone();
             let mut cfg = self.cfg.train;
             cfg.epochs = 1;
             let fit = parties
-                .with_member(id, |party| {
+                .with_party(id, |party| {
                     if party.train().is_empty() {
                         return None;
                     }
@@ -643,25 +516,6 @@ impl ShiftEx {
                 self.personal.insert(id, fit.params);
             }
         }
-    }
-
-    /// Population accuracy under the current assignment (personal params
-    /// take precedence over the assigned expert's).
-    pub fn evaluate(&self, parties: &[Party]) -> f32 {
-        let refs: Vec<&Party> = parties.iter().collect();
-        self.evaluate_refs(&refs)
-    }
-
-    /// Like [`ShiftEx::evaluate`] over borrowed parties (scenario loops
-    /// evaluate a liveness-filtered view every round without cloning it).
-    pub fn evaluate_refs(&self, parties: &[&Party]) -> f32 {
-        evaluate_assigned_refs(&self.spec, parties, |id| {
-            if let Some(p) = self.personal.get(&id) {
-                p.as_slice()
-            } else {
-                &self.registry.live(self.expert_of(id)).params
-            }
-        })
     }
 
     /// The expert currently assigned to `party` (defaults to the first
@@ -686,16 +540,16 @@ impl ShiftEx {
     /// Freezes the encoder / θ0 template at the current first expert's
     /// (bootstrap-trained) parameters and rebuilds that expert's latent
     /// memory from the previous window's data in the frozen embedding space.
-    fn freeze_encoder_impl<M: MemberAccess>(&mut self, parties: &M, rng: &mut StdRng) {
+    fn freeze_encoder(&mut self, parties: &PopulationView<'_>, rng: &mut StdRng) {
         let expert0 = self.registry.ids()[0];
         let trained = self.registry.live(expert0).params.clone();
         self.bootstrap_params = trained.clone();
         self.encoder_params = trained;
         let encoder = build_model(&self.spec, &self.encoder_params);
         let mut profiles = Vec::new();
-        for id in parties.member_ids() {
+        for &id in parties.ids() {
             let profile = parties
-                .with_member(id, |p| {
+                .with_party(id, |p| {
                     let data = match p.prev_train() {
                         Some(prev) if !prev.is_empty() => prev,
                         _ => p.train(),
@@ -725,9 +579,9 @@ impl ShiftEx {
 
     /// Calibrates thresholds from the previous (assumed stable) window's
     /// data if not yet fixed.
-    fn ensure_thresholds_impl<M: MemberAccess>(
+    fn ensure_thresholds(
         &mut self,
-        parties: &M,
+        parties: &PopulationView<'_>,
         rng: &mut StdRng,
     ) -> CalibratedThresholds {
         if let (Some(dc), Some(dl)) = (self.cfg.delta_cov, self.cfg.delta_label) {
@@ -757,10 +611,10 @@ impl ShiftEx {
         let mut mats: Vec<Matrix> = Vec::new();
         let mut hists: Vec<Vec<f32>> = Vec::new();
         let mut count = 0usize;
-        let ids = parties.member_ids();
+        let ids = parties.ids();
         let stride = ids.len().div_ceil(CALIBRATION_MAX_PARTIES).max(1);
-        for id in ids.into_iter().step_by(stride) {
-            parties.with_member(id, |p| {
+        for &id in ids.iter().step_by(stride) {
+            parties.with_party(id, |p| {
                 if let Some(prev) = p.prev_train() {
                     if prev.is_empty() {
                         return;
@@ -844,7 +698,7 @@ impl FederatedAlgorithm for ShiftEx {
         // instance may have been constructed with a throwaway seed), then
         // enrol everyone on expert 0. Burn-in training is the driver's job.
         *self = ShiftEx::new(self.cfg.clone(), self.spec.clone(), rng);
-        self.bootstrap_impl(parties, 0, rng);
+        self.enrol(parties, rng);
     }
 
     fn begin_window(&mut self, _window: usize, members: &PopulationView<'_>, rng: &mut StdRng) {
@@ -853,7 +707,7 @@ impl FederatedAlgorithm for ShiftEx {
         if members.is_empty() {
             return;
         }
-        self.process_window_impl(members, rng);
+        self.process_window(members, rng);
     }
 
     fn streams(&self) -> Vec<usize> {
@@ -875,7 +729,7 @@ impl FederatedAlgorithm for ShiftEx {
         _selector: &mut dyn ParticipantSelector,
         rng: &mut StdRng,
     ) -> Vec<PartyId> {
-        self.expert_cohort_impl(ExpertId(key as u32), live, rng)
+        self.expert_cohort(ExpertId(key as u32), live, rng)
     }
 
     fn fold(
@@ -897,7 +751,7 @@ impl FederatedAlgorithm for ShiftEx {
     }
 
     fn end_round(&mut self, live: &PopulationView<'_>, rng: &mut StdRng) {
-        self.personal_steps_impl(live, rng);
+        self.personal_steps(live, rng);
     }
 
     fn eval(&self, parties: &PopulationView<'_>) -> f32 {
@@ -929,75 +783,100 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use shiftex_data::{Corruption, ImageShape, PrototypeGenerator, Regime};
+    use shiftex_fl::{
+        run_algorithm_round, CodecSpec, CommLedger, LocalTransport, Party, PopulationStore,
+        RoundCodec, ScenarioEngine, ScenarioSpec,
+    };
 
-    fn make_parties(
-        gen: &PrototypeGenerator,
-        n: usize,
-        samples: usize,
-        rng: &mut StdRng,
-    ) -> Vec<Party> {
-        (0..n)
-            .map(|i| {
-                Party::new(
-                    PartyId(i),
-                    gen.generate_uniform(samples, rng),
-                    gen.generate_uniform(samples / 2, rng),
-                )
-            })
-            .collect()
+    /// A resident federation driven through the unified round driver under
+    /// the clean synchronous protocol.
+    struct Fed {
+        gen: PrototypeGenerator,
+        store: PopulationStore,
+        engine: ScenarioEngine,
     }
 
-    fn advance_with_regime(
-        parties: &mut [Party],
-        gen: &PrototypeGenerator,
-        regime: &Regime,
-        which: &[usize],
-        samples: usize,
-        rng: &mut StdRng,
-    ) {
-        for (i, p) in parties.iter_mut().enumerate() {
-            let (train, test) = if which.contains(&i) {
-                (
-                    gen.generate_with_regime(samples, regime, rng),
-                    gen.generate_with_regime(samples / 2, regime, rng),
-                )
-            } else {
-                (
-                    gen.generate_uniform(samples, rng),
-                    gen.generate_uniform(samples / 2, rng),
-                )
-            };
-            p.advance_window(train, test);
+    impl Fed {
+        fn view(&self) -> PopulationView<'_> {
+            self.store.view(self.store.party_ids())
+        }
+
+        fn rounds(&mut self, sx: &mut ShiftEx, rounds: usize, rng: &mut StdRng) {
+            for _ in 0..rounds {
+                run_algorithm_round(
+                    sx,
+                    &self.store,
+                    &mut self.engine,
+                    RoundCodec::Static(&CodecSpec::dense()),
+                    &mut UniformSelector,
+                    &FoldPolicy::Mean,
+                    None,
+                    rng,
+                    &mut LocalTransport,
+                );
+            }
+        }
+
+        /// Advances every party one window: parties in `which` draw from
+        /// `regime`, the rest from the clear distribution.
+        fn advance(&mut self, regime: &Regime, which: &[usize], rng: &mut StdRng) {
+            let gen = &self.gen;
+            let window = self.store.window() + 1;
+            self.store.advance_window_with(window, |p| {
+                let (train, test) = if which.contains(&p.id().0) {
+                    (
+                        gen.generate_with_regime(48, regime, rng),
+                        gen.generate_with_regime(24, regime, rng),
+                    )
+                } else {
+                    (gen.generate_uniform(48, rng), gen.generate_uniform(24, rng))
+                };
+                p.advance_window(train, test);
+            });
         }
     }
 
-    fn setup(n: usize) -> (PrototypeGenerator, Vec<Party>, ShiftEx, StdRng) {
+    /// An `n`-party federation and a ShiftEx enrolled on it (`init`), after
+    /// `burn_in` driver rounds on W0.
+    fn booted(n: usize, burn_in: usize, max_experts: usize) -> (Fed, ShiftEx, StdRng) {
         let mut rng = StdRng::seed_from_u64(42);
         let gen = PrototypeGenerator::new(ImageShape::new(1, 8, 8), 4, &mut rng);
-        let parties = make_parties(&gen, n, 48, &mut rng);
+        let parties: Vec<Party> = (0..n)
+            .map(|i| {
+                Party::new(
+                    PartyId(i),
+                    gen.generate_uniform(48, &mut rng),
+                    gen.generate_uniform(24, &mut rng),
+                )
+            })
+            .collect();
         let spec = ArchSpec::mlp("t", 64, &[24, 12], 4);
         let cfg = ShiftExConfig {
             participants_per_round: n,
+            max_experts,
             ..ShiftExConfig::default()
         };
-        let shiftex = ShiftEx::new(cfg, spec, &mut rng);
-        (gen, parties, shiftex, rng)
+        let mut shiftex = ShiftEx::new(cfg, spec, &mut rng);
+        let store = PopulationStore::from_parties(parties);
+        let engine = ScenarioEngine::new(ScenarioSpec::sync(0), &store.party_ids());
+        let mut fed = Fed { gen, store, engine };
+        shiftex.init(&fed.view(), &mut rng);
+        fed.rounds(&mut shiftex, burn_in, &mut rng);
+        (fed, shiftex, rng)
     }
 
     #[test]
     fn bootstrap_creates_single_expert_and_assigns_all() {
-        let (_gen, parties, mut shiftex, mut rng) = setup(6);
-        shiftex.bootstrap(&parties, 2, &mut rng);
+        let (_fed, shiftex, _rng) = booted(6, 2, 8);
         assert_eq!(shiftex.num_experts(), 1);
         assert_eq!(shiftex.assignments().len(), 6);
     }
 
     #[test]
     fn stable_window_creates_no_experts() {
-        let (gen, mut parties, mut shiftex, mut rng) = setup(6);
-        shiftex.bootstrap(&parties, 3, &mut rng);
-        advance_with_regime(&mut parties, &gen, &Regime::clear(), &[], 48, &mut rng);
-        let report = shiftex.process_window(&parties, &mut rng);
+        let (mut fed, mut shiftex, mut rng) = booted(6, 3, 8);
+        fed.advance(&Regime::clear(), &[], &mut rng);
+        let report = shiftex.process_window(&fed.view(), &mut rng);
         assert!(
             report.created.is_empty(),
             "stable window spawned {:?}",
@@ -1008,11 +887,10 @@ mod tests {
 
     #[test]
     fn covariate_shift_spawns_expert_for_shifted_group() {
-        let (gen, mut parties, mut shiftex, mut rng) = setup(8);
-        shiftex.bootstrap(&parties, 3, &mut rng);
+        let (mut fed, mut shiftex, mut rng) = booted(8, 3, 8);
         let fog = Regime::corrupted(Corruption::Fog, 4);
-        advance_with_regime(&mut parties, &gen, &fog, &[0, 1, 2, 3], 48, &mut rng);
-        let report = shiftex.process_window(&parties, &mut rng);
+        fed.advance(&fog, &[0, 1, 2, 3], &mut rng);
+        let report = shiftex.process_window(&fed.view(), &mut rng);
         assert!(
             report.cov_shifted.len() >= 3,
             "expected most of the fog group detected, got {:?}",
@@ -1029,32 +907,26 @@ mod tests {
 
     #[test]
     fn recurring_regime_reuses_expert_via_latent_memory() {
-        let (gen, mut parties, mut shiftex, mut rng) = setup(8);
-        shiftex.bootstrap(&parties, 3, &mut rng);
+        let (mut fed, mut shiftex, mut rng) = booted(8, 3, 8);
         let fog = Regime::corrupted(Corruption::Fog, 4);
-        let rounds = |s: &mut ShiftEx, parties: &[Party], rng: &mut StdRng| {
-            for _ in 0..2 {
-                ShiftEx::train_round(s, parties, rng);
-            }
-        };
 
         // W1: fog arrives for half the parties → new expert.
-        advance_with_regime(&mut parties, &gen, &fog, &[0, 1, 2, 3], 48, &mut rng);
-        let r1 = shiftex.process_window(&parties, &mut rng);
+        fed.advance(&fog, &[0, 1, 2, 3], &mut rng);
+        let r1 = shiftex.process_window(&fed.view(), &mut rng);
         assert_eq!(r1.created.len(), 1);
         let fog_expert = r1.created[0];
-        rounds(&mut shiftex, &parties, &mut rng);
+        fed.rounds(&mut shiftex, 2, &mut rng);
 
         // W2: everyone clear again → shifted-back parties should go to an
         // existing expert (the clear expert 0), not a new one.
-        advance_with_regime(&mut parties, &gen, &Regime::clear(), &[], 48, &mut rng);
-        let r2 = shiftex.process_window(&parties, &mut rng);
+        fed.advance(&Regime::clear(), &[], &mut rng);
+        let r2 = shiftex.process_window(&fed.view(), &mut rng);
         assert!(r2.created.is_empty(), "clear regime must reuse: {r2:?}");
-        rounds(&mut shiftex, &parties, &mut rng);
+        fed.rounds(&mut shiftex, 2, &mut rng);
 
         // W3: fog recurs for a different subset → reuse the fog expert.
-        advance_with_regime(&mut parties, &gen, &fog, &[4, 5, 6, 7], 48, &mut rng);
-        let r3 = shiftex.process_window(&parties, &mut rng);
+        fed.advance(&fog, &[4, 5, 6, 7], &mut rng);
+        let r3 = shiftex.process_window(&fed.view(), &mut rng);
         assert!(
             r3.created.is_empty() && !r3.reused.is_empty(),
             "recurring fog should reuse the fog expert: {r3:?}"
@@ -1067,16 +939,13 @@ mod tests {
 
     #[test]
     fn training_rounds_improve_shifted_accuracy() {
-        let (gen, mut parties, mut shiftex, mut rng) = setup(8);
-        shiftex.bootstrap(&parties, 5, &mut rng);
+        let (mut fed, mut shiftex, mut rng) = booted(8, 5, 8);
         let fog = Regime::corrupted(Corruption::Fog, 4);
-        advance_with_regime(&mut parties, &gen, &fog, &[0, 1, 2, 3], 48, &mut rng);
-        shiftex.process_window(&parties, &mut rng);
-        let before = shiftex.evaluate(&parties);
-        for _ in 0..6 {
-            ShiftEx::train_round(&mut shiftex, &parties, &mut rng);
-        }
-        let after = shiftex.evaluate(&parties);
+        fed.advance(&fog, &[0, 1, 2, 3], &mut rng);
+        shiftex.process_window(&fed.view(), &mut rng);
+        let before = shiftex.eval(&fed.view());
+        fed.rounds(&mut shiftex, 6, &mut rng);
+        let after = shiftex.eval(&fed.view());
         assert!(
             after > before,
             "training should recover accuracy: {before} -> {after}"
@@ -1085,9 +954,7 @@ mod tests {
 
     #[test]
     fn max_experts_cap_is_respected() {
-        let (gen, mut parties, mut shiftex, mut rng) = setup(8);
-        shiftex.cfg.max_experts = 2;
-        shiftex.bootstrap(&parties, 2, &mut rng);
+        let (mut fed, mut shiftex, mut rng) = booted(8, 2, 2);
         for (w, corruption) in [
             Corruption::Fog,
             Corruption::Snow,
@@ -1099,27 +966,21 @@ mod tests {
         {
             let regime =
                 Regime::corrupted(corruption, 5).with_id(shiftex_data::RegimeId(w as u32 + 1));
-            advance_with_regime(&mut parties, &gen, &regime, &[0, 1, 2, 3], 48, &mut rng);
-            shiftex.process_window(&parties, &mut rng);
+            fed.advance(&regime, &[0, 1, 2, 3], &mut rng);
+            shiftex.process_window(&fed.view(), &mut rng);
         }
         assert!(shiftex.num_experts() <= 2);
     }
 
     #[test]
     fn scenario_rounds_train_experts_under_churn() {
-        use shiftex_fl::{
-            run_algorithm_round, AsyncSpec, ChurnSpec, CodecSpec, CommLedger, PopulationStore,
-            ScenarioSpec, StragglerSpec,
-        };
-        let (gen, mut parties, mut shiftex, mut rng) = setup(8);
-        shiftex.bootstrap(&parties, 3, &mut rng);
+        use shiftex_fl::{AsyncSpec, ChurnSpec, StragglerSpec};
+        let (mut fed, mut shiftex, mut rng) = booted(8, 3, 8);
         let fog = Regime::corrupted(Corruption::Fog, 4);
-        advance_with_regime(&mut parties, &gen, &fog, &[0, 1, 2, 3], 48, &mut rng);
-        shiftex.process_window(&parties, &mut rng);
+        fed.advance(&fog, &[0, 1, 2, 3], &mut rng);
+        shiftex.process_window(&fed.view(), &mut rng);
         assert_eq!(shiftex.num_experts(), 2);
 
-        let ids: Vec<PartyId> = parties.iter().map(|p| p.id()).collect();
-        let store = PopulationStore::from_parties(parties.clone());
         let spec = ScenarioSpec::sync(5)
             .with_churn(ChurnSpec::dropout_only(0.2))
             .with_stragglers(StragglerSpec::uniform(
@@ -1133,9 +994,9 @@ mod tests {
                 max_staleness: 3,
                 server_lr: 1.0,
             });
-        let mut engine = shiftex_fl::ScenarioEngine::new(spec, &ids);
+        fed.engine = ScenarioEngine::new(spec, &fed.store.party_ids());
         let ledger = CommLedger::new();
-        let before = shiftex.evaluate(&parties);
+        let before = shiftex.eval(&fed.view());
         let params_before: Vec<Vec<f32>> = shiftex
             .registry()
             .iter()
@@ -1144,16 +1005,17 @@ mod tests {
         for _ in 0..6 {
             run_algorithm_round(
                 &mut shiftex,
-                &store,
-                &mut engine,
-                &CodecSpec::dense(),
+                &fed.store,
+                &mut fed.engine,
+                RoundCodec::Static(&CodecSpec::dense()),
                 &mut UniformSelector,
                 &FoldPolicy::Mean,
                 Some(&ledger),
                 &mut rng,
+                &mut LocalTransport,
             );
         }
-        let after = shiftex.evaluate(&parties);
+        let after = shiftex.eval(&fed.view());
         let params_after: Vec<Vec<f32>> = shiftex
             .registry()
             .iter()
@@ -1163,7 +1025,7 @@ mod tests {
             params_before, params_after,
             "experts must keep training under churned async rounds"
         );
-        let stats = engine.stats();
+        let stats = fed.engine.stats();
         assert!(stats.delivered > 0, "some updates aggregated: {stats:?}");
         assert!(
             stats.deferred > 0,
@@ -1181,29 +1043,14 @@ mod tests {
 
     #[test]
     fn algorithm_interface_reports_models() {
-        use shiftex_fl::PopulationStore;
-        let (gen, mut parties, mut shiftex, mut rng) = setup(6);
-        let init_store = PopulationStore::from_parties(parties.clone());
-        FederatedAlgorithm::init(
-            &mut shiftex,
-            &init_store.view(init_store.party_ids()),
-            &mut rng,
-        );
+        let (mut fed, mut shiftex, mut rng) = booted(6, 0, 8);
         assert_eq!(FederatedAlgorithm::name(&shiftex), "ShiftEx");
         assert_eq!(shiftex.num_models(), 1);
         assert_eq!(shiftex.streams(), vec![0]);
-        advance_with_regime(
-            &mut parties,
-            &gen,
-            &Regime::corrupted(Corruption::Fog, 4),
-            &[0, 1, 2],
-            48,
-            &mut rng,
-        );
-        let store = PopulationStore::from_parties(parties.clone());
-        FederatedAlgorithm::begin_window(&mut shiftex, 1, &store.view(store.party_ids()), &mut rng);
-        for p in &parties {
-            let idx = shiftex.model_index(p.id());
+        fed.advance(&Regime::corrupted(Corruption::Fog, 4), &[0, 1, 2], &mut rng);
+        FederatedAlgorithm::begin_window(&mut shiftex, 1, &fed.view(), &mut rng);
+        for id in fed.store.party_ids() {
+            let idx = shiftex.model_index(id);
             assert!(idx < shiftex.num_models());
         }
         // Stream keys are expert ids — stable even when experts merge.

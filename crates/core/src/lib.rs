@@ -31,7 +31,7 @@
 //!
 //! ```
 //! use shiftex_core::{ShiftEx, ShiftExConfig};
-//! use shiftex_fl::{Party, PartyId};
+//! use shiftex_fl::{FederatedAlgorithm, Party, PartyId, PopulationStore};
 //! use shiftex_data::{ImageShape, PrototypeGenerator};
 //! use shiftex_nn::ArchSpec;
 //! use rand::{rngs::StdRng, SeedableRng};
@@ -42,9 +42,12 @@
 //!     .map(|i| Party::new(PartyId(i), gen.generate_uniform(32, &mut rng),
 //!                         gen.generate_uniform(16, &mut rng)))
 //!     .collect();
+//! let population = PopulationStore::from_parties(parties);
 //! let spec = ArchSpec::mlp("demo", 16, &[8], 3);
 //! let mut shiftex = ShiftEx::new(ShiftExConfig::default(), spec, &mut rng);
-//! shiftex.bootstrap(&parties, 2, &mut rng);
+//! // Enrol everyone on expert 0; `shiftex_fl::run_algorithm_round` then
+//! // trains it, and `process_window` reacts to each new window.
+//! shiftex.init(&population.view(population.party_ids()), &mut rng);
 //! assert_eq!(shiftex.num_experts(), 1);
 //! ```
 

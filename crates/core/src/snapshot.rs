@@ -115,10 +115,14 @@ mod tests {
     use crate::{ShiftEx, ShiftExConfig};
     use rand::{rngs::StdRng, SeedableRng};
     use shiftex_data::{ImageShape, PrototypeGenerator};
-    use shiftex_fl::Party;
+    use shiftex_fl::{
+        run_algorithm_round, CodecSpec, FederatedAlgorithm, FoldPolicy, LocalTransport, Party,
+        PopulationStore, RoundCodec, ScenarioEngine, ScenarioSpec, UniformSelector,
+    };
     use shiftex_nn::ArchSpec;
 
-    fn booted() -> (ShiftEx, Vec<Party>, StdRng) {
+    /// A ShiftEx after three burn-in rounds on the unified driver.
+    fn booted() -> (ShiftEx, PopulationStore, StdRng) {
         let mut rng = StdRng::seed_from_u64(0);
         let gen = PrototypeGenerator::new(ImageShape::new(1, 8, 8), 4, &mut rng);
         let parties: Vec<Party> = (0..6)
@@ -132,8 +136,24 @@ mod tests {
             .collect();
         let spec = ArchSpec::mlp("t", 64, &[16], 4);
         let mut sx = ShiftEx::new(ShiftExConfig::default(), spec, &mut rng);
-        sx.bootstrap(&parties, 3, &mut rng);
-        (sx, parties, rng)
+        let store = PopulationStore::from_parties(parties);
+        let ids = store.party_ids();
+        sx.init(&store.view(ids.clone()), &mut rng);
+        let mut engine = ScenarioEngine::new(ScenarioSpec::sync(0), &ids);
+        for _ in 0..3 {
+            run_algorithm_round(
+                &mut sx,
+                &store,
+                &mut engine,
+                RoundCodec::Static(&CodecSpec::dense()),
+                &mut UniformSelector,
+                &FoldPolicy::Mean,
+                None,
+                &mut rng,
+                &mut LocalTransport,
+            );
+        }
+        (sx, store, rng)
     }
 
     #[test]
@@ -147,8 +167,9 @@ mod tests {
 
     #[test]
     fn restore_recovers_serving_state() {
-        let (sx, parties, mut rng) = booted();
-        let before = sx.evaluate(&parties);
+        let (sx, store, mut rng) = booted();
+        let parties = store.view(store.party_ids());
+        let before = sx.eval(&parties);
         let snap = sx.snapshot();
 
         // A "fresh aggregator process" restores the snapshot.
@@ -156,7 +177,7 @@ mod tests {
         fresh.restore(snap);
         assert_eq!(fresh.num_experts(), sx.num_experts());
         assert_eq!(fresh.assignments(), sx.assignments());
-        let after = fresh.evaluate(&parties);
+        let after = fresh.eval(&parties);
         assert!(
             (before - after).abs() < 1e-6,
             "restored accuracy must match"

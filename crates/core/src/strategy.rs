@@ -10,7 +10,7 @@
 //! assignment.
 
 use rand::rngs::StdRng;
-use shiftex_fl::{Party, PartyId, PopulationView};
+use shiftex_fl::{PartyId, PopulationView};
 use shiftex_nn::{ArchSpec, Sequential};
 
 /// Builds a model with the given flat parameters (helper shared by all
@@ -23,63 +23,11 @@ pub fn build_model(spec: &ArchSpec, params: &[f32]) -> Sequential {
     model
 }
 
-/// Sample-weighted population accuracy where `params_of` supplies each
-/// party's assigned parameters.
-pub fn evaluate_assigned<'a>(
-    spec: &ArchSpec,
-    parties: &[Party],
-    params_of: impl FnMut(PartyId) -> &'a [f32],
-) -> f32 {
-    let refs: Vec<&Party> = parties.iter().collect();
-    evaluate_assigned_refs(spec, &refs, params_of)
-}
-
-/// Like [`evaluate_assigned`] but over borrowed parties — scenario loops
-/// evaluate a liveness-filtered view every round and must not pay a deep
-/// clone of the population to do so.
-pub fn evaluate_assigned_refs<'a>(
-    spec: &ArchSpec,
-    parties: &[&Party],
-    mut params_of: impl FnMut(PartyId) -> &'a [f32],
-) -> f32 {
-    let mut correct = 0.0f64;
-    let mut total = 0usize;
-    // Cache built models by parameter pointer identity is overkill here;
-    // group parties by identical parameter slices instead.
-    let mut cache: Vec<(&[f32], Sequential)> = Vec::new();
-    for &party in parties {
-        if party.test().is_empty() {
-            continue;
-        }
-        let params = params_of(party.id());
-        let slot = match cache
-            .iter()
-            .position(|(p, _)| std::ptr::eq(p.as_ptr(), params.as_ptr()))
-        {
-            Some(i) => i,
-            None => {
-                cache.push((params, build_model(spec, params)));
-                cache.len() - 1
-            }
-        };
-        let model = &cache[slot].1;
-        let report = model.evaluate(party.test_features(), party.test_labels());
-        correct += report.accuracy as f64 * report.n as f64;
-        total += report.n;
-    }
-    if total == 0 {
-        0.0
-    } else {
-        (correct / total as f64) as f32
-    }
-}
-
-/// Like [`evaluate_assigned_refs`] but streamed through a
-/// [`PopulationView`]: each party is materialized transiently in view
-/// order and dropped after scoring, so assigned evaluation is
-/// O(1)-resident at any population size. Accumulation order, arithmetic,
-/// and the parameter-identity model cache are identical to the slice
-/// version, so results are bit-identical.
+/// Sample-weighted accuracy over the parties in `parties`, where
+/// `params_of` supplies each party's assigned parameters. Each party is
+/// materialized transiently in view order and dropped after scoring, so
+/// assigned evaluation is O(1)-resident at any population size; parties
+/// sharing one parameter slice share one built model.
 pub fn evaluate_assigned_view<'a>(
     spec: &ArchSpec,
     parties: &PopulationView<'_>,
@@ -122,6 +70,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use shiftex_data::{ImageShape, PrototypeGenerator};
+    use shiftex_fl::{Party, PopulationStore};
 
     #[test]
     fn evaluate_assigned_uses_per_party_models() {
@@ -153,14 +102,16 @@ mod tests {
             m.params_flat()
         };
         let bad = Sequential::build(&spec, &mut StdRng::seed_from_u64(99)).params_flat();
+        let store = PopulationStore::from_parties(parties);
+        let view = store.view(store.party_ids());
 
-        let acc_good = evaluate_assigned(&spec, &parties, |_| &good);
-        let acc_bad = evaluate_assigned(&spec, &parties, |_| &bad);
+        let acc_good = evaluate_assigned_view(&spec, &view, |_| &good);
+        let acc_bad = evaluate_assigned_view(&spec, &view, |_| &bad);
         assert!(acc_good > acc_bad, "trained {acc_good} vs fresh {acc_bad}");
 
         // Mixed assignment lands between the two pure assignments.
         let acc_mixed =
-            evaluate_assigned(&spec, &parties, |id| if id.0 == 0 { &bad } else { &good });
+            evaluate_assigned_view(&spec, &view, |id| if id.0 == 0 { &bad } else { &good });
         assert!(acc_mixed <= acc_good + 1e-6 && acc_mixed >= acc_bad - 1e-6);
     }
 

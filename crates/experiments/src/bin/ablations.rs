@@ -105,25 +105,43 @@ fn main() {
     {
         use rand::{rngs::StdRng, SeedableRng};
         use shiftex_core::{distill_experts, DistillConfig, ShiftEx};
+        use shiftex_fl::{
+            evaluate_on_view, run_algorithm_round, CodecSpec, FederatedAlgorithm, FoldPolicy,
+            LocalTransport, PopulationStore, RoundCodec, ScenarioEngine, UniformSelector,
+        };
         let mut rng = StdRng::seed_from_u64(scenario.seed ^ 0x9e37);
         let sx_cfg = shiftex_core::ShiftExConfig {
             participants_per_round: scenario.participants_per_round(),
             ..Default::default()
         };
         let mut sx = ShiftEx::new(sx_cfg, scenario.spec.clone(), &mut rng);
-        let mut parties = scenario.initial_parties(&mut rng);
-        sx.bootstrap(&parties, 0, &mut rng);
-        for _ in 0..scenario.bootstrap_rounds() {
-            ShiftEx::train_round(&mut sx, &parties, &mut rng);
-        }
-        for w in 1..=scenario.eval_windows() {
-            scenario.advance(&mut parties, w, &mut rng);
-            sx.process_window(&parties, &mut rng);
-            for _ in 0..scenario.rounds_per_window {
-                ShiftEx::train_round(&mut sx, &parties, &mut rng);
+        let mut store = PopulationStore::from_parties(scenario.initial_parties(&mut rng));
+        let ids = store.party_ids();
+        let mut engine = ScenarioEngine::new(ScenarioSpec::sync(scenario.seed), &ids);
+        let mut rounds = |sx: &mut ShiftEx, store: &PopulationStore, n: usize, rng: &mut StdRng| {
+            for _ in 0..n {
+                run_algorithm_round(
+                    sx,
+                    store,
+                    &mut engine,
+                    RoundCodec::Static(&CodecSpec::dense()),
+                    &mut UniformSelector,
+                    &FoldPolicy::Mean,
+                    None,
+                    rng,
+                    &mut LocalTransport,
+                );
             }
+        };
+        sx.init(&store.view(ids.clone()), &mut rng);
+        rounds(&mut sx, &store, scenario.bootstrap_rounds(), &mut rng);
+        for w in 1..=scenario.eval_windows() {
+            store.advance_window_with(w, |p| scenario.advance_party(p, w, &mut rng));
+            sx.process_window(&store.view(ids.clone()), &mut rng);
+            rounds(&mut sx, &store, scenario.rounds_per_window, &mut rng);
         }
-        let before = sx.evaluate(&parties);
+        let parties = store.view(ids);
+        let before = sx.eval(&parties);
         let experts: Vec<_> = sx.registry().iter().collect();
 
         // The reference set must *cover the regimes* the experts serve: a
@@ -151,10 +169,7 @@ fn main() {
             &DistillConfig::default(),
             &mut rng,
         );
-        let student_acc =
-            shiftex_core::strategy::evaluate_assigned(&scenario.spec, &parties, |_| {
-                report.student_params.as_slice()
-            });
+        let student_acc = evaluate_on_view(&scenario.spec, &report.student_params, &parties);
         println!(
             "\nExpert distillation ({} experts -> 1 student, {} regime-covering reference inputs):",
             experts.len(),

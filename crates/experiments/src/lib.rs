@@ -40,7 +40,8 @@ pub use netfed::{
 };
 pub use population::{party_stream_seed, LazyPopulation, ResidentPopulation};
 pub use runner::{
-    run_federation_scenario, run_scenario, FedRunOptions, FedRunResult, FedSelector, PopulationMode,
+    run_federation_scenario, run_scenario, FedRunOptions, FedRunResult, FedSelector,
+    PopulationMode, RoundParticipation,
 };
 pub use scenario::{
     budget_spec_from_args, codec_spec_from_args, federation_spec_from_args, fold_policy_from_args,

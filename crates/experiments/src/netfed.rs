@@ -21,9 +21,8 @@ use rand::SeedableRng;
 use shiftex_baselines::OortSelector;
 use shiftex_core::ShiftExConfig;
 use shiftex_fl::{
-    run_algorithm_round_transported, CodecSpec, CohortTransport, CommLedger, CommTotals,
-    FoldPolicy, JoinConfig, ParticipantSelector, PartyId, RoundCodec, ScenarioSpec,
-    UniformSelector,
+    run_algorithm_round, CodecSpec, CohortTransport, CommLedger, CommTotals, FoldPolicy,
+    JoinConfig, ParticipantSelector, PartyId, RoundCodec, ScenarioSpec, UniformSelector,
 };
 use shiftex_net::{serve, NetError, WorkerConfig, WorkerSummary};
 
@@ -175,7 +174,7 @@ pub fn run_netfed_rounds(
             FedSelector::Uniform => &mut uniform,
             FedSelector::Oort => &mut oort,
         };
-        let outcome = run_algorithm_round_transported(
+        let outcome = run_algorithm_round(
             algorithm.as_mut(),
             &store,
             &mut engine,

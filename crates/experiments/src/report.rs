@@ -498,7 +498,8 @@ mod tests {
     }
 
     fn sample_result() -> FedRunResult {
-        use shiftex_fl::{ParticipationStats, RoundParticipation};
+        use crate::RoundParticipation;
+        use shiftex_fl::ParticipationStats;
         FedRunResult {
             strategy: "FedAvg".into(),
             accuracy_series: vec![0.4, 0.5],

@@ -15,15 +15,41 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use shiftex_baselines::OortSelector;
 use shiftex_fl::{
-    run_algorithm_round_with, BudgetSpec, CodecController, CodecSpec, CommLedger, CommTotals,
-    FederatedAlgorithm, FoldPolicy, JoinConfig, ParticipantSelector, ParticipationStats,
-    PopulationStore, RoundCodec, RoundParticipation, ScenarioEngine, ScenarioSpec, UniformSelector,
+    run_algorithm_round, BudgetSpec, CodecController, CodecSpec, CommLedger, CommTotals,
+    FederatedAlgorithm, FoldPolicy, JoinConfig, LocalTransport, ParticipantSelector,
+    ParticipationStats, PopulationStore, RoundCodec, ScenarioEngine, ScenarioSpec, UniformSelector,
 };
 
 use crate::algorithms::build_algorithm;
 use crate::metrics::{window_metrics, WindowMetrics};
 use crate::population::{LazyPopulation, ResidentPopulation};
 use crate::scenario::Scenario;
+
+/// Per-round participation record of a federation run.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct RoundParticipation {
+    /// 1-based round index.
+    pub round: usize,
+    /// Enrolled members this round (after join/leave churn).
+    pub live: usize,
+    /// This round's counter deltas (selected/delivered/dropped/…).
+    pub delta: ParticipationStats,
+    /// Population accuracy on the live members after the round.
+    pub accuracy: f32,
+    /// Encoded upstream bytes this round, including aborted uploads (the
+    /// traffic was paid either way).
+    pub up_bytes: u64,
+    /// Encoded downstream (broadcast) bytes this round, to recipients that
+    /// already held the stream's broadcast reference.
+    pub down_bytes: u64,
+    /// Encoded bytes of first-contact full-state downlinks this round (new
+    /// joiners, round-1 cohorts) — distinct so join costs are visible.
+    pub first_contact_down_bytes: u64,
+    /// Updates a robust fold quarantined this round.
+    pub quarantined: u64,
+    /// Largest fold distance score this round (0 under the mean fold).
+    pub fold_score: f32,
+}
 
 /// Everything recorded from one algorithm × scenario × federation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -426,7 +452,7 @@ fn run_round_block<A: FederatedAlgorithm + ?Sized>(
     for _ in 0..rounds {
         let before = engine.stats();
         let comm_before = ledger.totals();
-        let outcome = run_algorithm_round_with(
+        let outcome = run_algorithm_round(
             algorithm,
             population,
             engine,
@@ -435,6 +461,7 @@ fn run_round_block<A: FederatedAlgorithm + ?Sized>(
             fold,
             Some(ledger),
             rng,
+            &mut LocalTransport,
         );
         // `outcome.live` is already in population order (the engine filters
         // the id universe in place), so the view evaluates the same member

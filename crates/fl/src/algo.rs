@@ -42,9 +42,9 @@
 use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use shiftex_nn::{ArchSpec, TrainConfig};
+use shiftex_nn::{train_local_params, ArchSpec, TrainConfig};
 
 use crate::codec::CodecSpec;
 use crate::comm::CommLedger;
@@ -52,10 +52,9 @@ use crate::control::CodecController;
 use crate::party::{Party, PartyId};
 use crate::population::{PopulationStore, PopulationView};
 use crate::robust::{FoldPolicy, UpdateVerdict};
-use crate::round::local_update;
 use crate::scenario::{RoundMode, ScenarioEngine, WeightedUpdate};
 use crate::selection::ParticipantSelector;
-use crate::transport::{CohortExchange, CohortTransport, LocalTransport, UploadOutcome};
+use crate::transport::{CohortExchange, CohortTransport, UploadOutcome};
 use crate::update::ModelUpdate;
 
 /// One federated algorithm's lifecycle under the scenario runtime.
@@ -217,87 +216,69 @@ pub enum RoundCodec<'a> {
     Adaptive(&'a CodecController),
 }
 
+/// One party's local training step from the (decoded) global parameters,
+/// under an independent RNG stream derived from `seed`. Parties with no
+/// training data return a zero-sample echo of the globals. This is the
+/// default [`FederatedAlgorithm::local_step`], and what a remote worker
+/// runs for its parties.
+pub fn local_update(
+    spec: &ArchSpec,
+    global_params: &[f32],
+    party: &Party,
+    train: &TrainConfig,
+    seed: u64,
+) -> ModelUpdate {
+    let mut rng = StdRng::seed_from_u64(seed);
+    if party.train().is_empty() {
+        return ModelUpdate {
+            party: party.id(),
+            params: global_params.to_vec(),
+            num_samples: 0,
+            train_loss: 0.0,
+        };
+    }
+    let fit = train_local_params(
+        spec,
+        global_params,
+        party.train_features(),
+        party.train_labels(),
+        train,
+        &mut rng,
+    );
+    ModelUpdate {
+        party: party.id(),
+        params: fit.params,
+        num_samples: fit.num_samples,
+        train_loss: fit.final_loss,
+    }
+}
+
 /// Runs one scenario-mediated round of `algorithm`: advances the engine's
 /// round clock, gates the pool by churn, and — per stream — selects a
-/// cohort, broadcasts the encoded globals (first-contact recipients get
-/// metered full-state frames), fans out local steps (label-poisoning
-/// attackers train on flipped labels), ships every upload through `codec`
-/// (with error feedback when configured; wire-level attackers corrupt
-/// theirs in transit), lets the engine apply dropout/straggler/staleness
-/// fates, feeds selector utility, liveness, and rejection signals, and
-/// folds whatever matured under `policy`, metering and refunding whatever
-/// the fold quarantines.
+/// cohort, resolves the stream's spec under `codec` (a static spec, or an
+/// adaptive controller consulted against the observed ledger and the
+/// stream's error-feedback magnitude), and hands the broadcast →
+/// local-step → upload leg to `transport`. [`LocalTransport`] runs that
+/// leg in process (first-contact recipients get metered full-state
+/// frames, label-poisoning attackers train on flipped labels, wire-level
+/// attackers corrupt their uploads in transit); a networked transport
+/// ships the same encoded frames to worker processes. The engine then
+/// applies dropout/straggler/staleness fates, the selector gets utility,
+/// liveness and rejection signals, and whatever matured is folded under
+/// `policy`, metering and refunding whatever the fold quarantines.
+/// Parties the transport reports as [`UploadOutcome::Lost`] (real
+/// disconnects, sockets stalled past the round deadline) are metered as
+/// aborted uploads at the exact frame size and fed to the selector's
+/// availability hook — the same paths the engine's simulated churn and
+/// straggler axes use.
 ///
-/// Every algorithm the experiment runner drives goes through this one
-/// function: ShiftEx and every baseline pay for the same scenario axes and
-/// the same bytes, so head-to-head numbers compare algorithms rather than
-/// runtimes. A legacy path still exists beside it:
-/// [`run_round`](crate::run_round) in `round.rs` drives
-/// `ShiftEx::train_round`/`bootstrap` and [`FederatedJob`](crate::FederatedJob)
-/// until it is deleted in favour of this driver.
-#[allow(clippy::too_many_arguments)] // the round's full I/O surface: wire, fold, meter, seed
+/// Every algorithm goes through this one function: ShiftEx and every
+/// baseline pay for the same scenario axes and the same bytes, so
+/// head-to-head numbers compare algorithms rather than runtimes.
+///
+/// [`LocalTransport`]: crate::LocalTransport
+#[allow(clippy::too_many_arguments)] // the round's full I/O surface: wire, fold, meter, seed, transport
 pub fn run_algorithm_round<A: FederatedAlgorithm + ?Sized>(
-    algorithm: &mut A,
-    population: &PopulationStore,
-    engine: &mut ScenarioEngine,
-    codec: &CodecSpec,
-    selector: &mut dyn ParticipantSelector,
-    policy: &FoldPolicy,
-    ledger: Option<&CommLedger>,
-    rng: &mut StdRng,
-) -> AlgoRoundOutcome {
-    run_algorithm_round_with(
-        algorithm,
-        population,
-        engine,
-        RoundCodec::Static(codec),
-        selector,
-        policy,
-        ledger,
-        rng,
-    )
-}
-
-/// Like [`run_algorithm_round`] but with the codec policy generalised to
-/// [`RoundCodec`]: an adaptive controller picks each stream's spec from
-/// the observed ledger snapshot and the stream's error-feedback magnitude
-/// before the stream broadcasts. The static arm is byte-for-byte the old
-/// driver.
-#[allow(clippy::too_many_arguments)] // the round's full I/O surface: wire, fold, meter, seed
-pub fn run_algorithm_round_with<A: FederatedAlgorithm + ?Sized>(
-    algorithm: &mut A,
-    population: &PopulationStore,
-    engine: &mut ScenarioEngine,
-    codec: RoundCodec<'_>,
-    selector: &mut dyn ParticipantSelector,
-    policy: &FoldPolicy,
-    ledger: Option<&CommLedger>,
-    rng: &mut StdRng,
-) -> AlgoRoundOutcome {
-    run_algorithm_round_transported(
-        algorithm,
-        population,
-        engine,
-        codec,
-        selector,
-        policy,
-        ledger,
-        rng,
-        &mut LocalTransport,
-    )
-}
-
-/// Like [`run_algorithm_round_with`] but with the broadcast → local-step →
-/// upload leg of each stream delegated to an explicit [`CohortTransport`]:
-/// [`LocalTransport`] reproduces the in-process exchange bit-for-bit, a
-/// networked transport ships the same encoded frames to worker processes
-/// over real sockets. Parties the transport reports as
-/// [`UploadOutcome::Lost`] (real disconnects, sockets stalled past the
-/// round deadline) are metered as aborted uploads at the exact frame size
-/// and fed to the selector's availability hook — the same paths the
-/// engine's simulated churn and straggler axes use.
-#[allow(clippy::too_many_arguments)] // the round's full I/O surface: wire, fold, meter, seed
-pub fn run_algorithm_round_transported<A: FederatedAlgorithm + ?Sized>(
     algorithm: &mut A,
     population: &PopulationStore,
     engine: &mut ScenarioEngine,
@@ -344,9 +325,8 @@ pub fn run_algorithm_round_transported<A: FederatedAlgorithm + ?Sized>(
             }
         };
         // One pre-drawn seed per member keeps results independent of
-        // training order (and identical to the parallel fan-out and to a
-        // networked coordinator, which draws these exact seeds here before
-        // any socket I/O).
+        // training order (and identical to a networked coordinator, which
+        // draws these exact seeds here before any socket I/O).
         let seeds: Vec<u64> = cohort_ids.iter().map(|_| rng.random::<u64>()).collect();
         let outcomes = transport.exchange(
             &CohortExchange {
@@ -426,8 +406,11 @@ pub fn run_algorithm_round_transported<A: FederatedAlgorithm + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{ChurnSpec, ScenarioSpec};
+    use crate::scenario::{
+        ChurnSchedule, ChurnSpec, DelayDist, LatePolicy, ScenarioSpec, StragglerSpec,
+    };
     use crate::selection::UniformSelector;
+    use crate::transport::LocalTransport;
     use rand::SeedableRng;
     use shiftex_data::{ImageShape, PrototypeGenerator};
     use shiftex_nn::Sequential;
@@ -523,48 +506,249 @@ mod tests {
         (alg, parties)
     }
 
-    #[test]
-    fn driver_round_matches_legacy_job_round() {
-        // The generic driver on a plain single-model algorithm must be
-        // bit-identical to FederatedJob::run_rounds_scenario: same RNG
-        // draw order, same aggregation.
-        let (mut alg, parties) = setup(5, 0);
-        let ids: Vec<PartyId> = parties.iter().map(Party::id).collect();
-        let store = PopulationStore::from_parties(parties.clone());
+    /// One driver round under the clean sync protocol: uniform selection,
+    /// mean fold, in-process transport.
+    fn round(
+        alg: &mut PlainFedAvg,
+        store: &PopulationStore,
+        engine: &mut ScenarioEngine,
+        codec: &CodecSpec,
+        ledger: Option<&CommLedger>,
+        rng: &mut StdRng,
+    ) -> AlgoRoundOutcome {
+        run_algorithm_round(
+            alg,
+            store,
+            engine,
+            RoundCodec::Static(codec),
+            &mut UniformSelector,
+            &FoldPolicy::Mean,
+            ledger,
+            rng,
+            &mut LocalTransport,
+        )
+    }
 
-        let mut rng = StdRng::seed_from_u64(1);
-        alg.init(&store.view(store.party_ids()), &mut rng);
-        let init = alg.params.clone();
+    /// The driver's sync dense path, inlined: draw the initial model, then
+    /// per round select the whole pool uniformly, draw one seed per member,
+    /// train every member from the raw globals, and fold plain
+    /// sample-weighted FedAvg — no wire stage, no engine.
+    fn uncoded_rounds(spec: &ArchSpec, parties: &[Party], rounds: usize, seed: u64) -> Vec<f32> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut params = Sequential::build(spec, &mut rng).params_flat();
+        let infos: Vec<_> = parties.iter().map(Party::info).collect();
+        for _ in 0..rounds {
+            let chosen: BTreeSet<PartyId> = UniformSelector
+                .select(&infos, parties.len(), &mut rng)
+                .into_iter()
+                .collect();
+            let cohort: Vec<&Party> = parties
+                .iter()
+                .filter(|p| chosen.contains(&p.id()))
+                .collect();
+            let seeds: Vec<u64> = cohort.iter().map(|_| rng.random::<u64>()).collect();
+            let updates: Vec<ModelUpdate> = cohort
+                .iter()
+                .zip(&seeds)
+                .map(|(p, &s)| local_update(spec, &params, p, &TrainConfig::default(), s))
+                .collect();
+            let total: f32 = updates.iter().map(|u| u.num_samples as f32).sum();
+            let mut avg = vec![0.0f32; params.len()];
+            for u in updates.iter().filter(|u| u.num_samples > 0) {
+                let scale = u.num_samples as f32 / total;
+                for (acc, &p) in avg.iter_mut().zip(&u.params) {
+                    *acc += scale * p;
+                }
+            }
+            params = avg;
+        }
+        params
+    }
+
+    /// Runs `rounds` driver rounds of `alg` over `parties` from `seed`.
+    fn driver_rounds(
+        alg: &mut PlainFedAvg,
+        parties: &[Party],
+        rounds: usize,
+        codec: &CodecSpec,
+        seed: u64,
+    ) -> Vec<f32> {
+        let ids: Vec<PartyId> = parties.iter().map(Party::id).collect();
+        let store = PopulationStore::from_parties(parties.to_vec());
+        let mut rng = StdRng::seed_from_u64(seed);
+        alg.init(&store.view(ids.clone()), &mut rng);
         let mut engine = ScenarioEngine::new(ScenarioSpec::sync(3), &ids);
-        for _ in 0..2 {
-            run_algorithm_round(
+        for _ in 0..rounds {
+            round(alg, &store, &mut engine, codec, None, &mut rng);
+        }
+        alg.params.clone()
+    }
+
+    #[test]
+    fn driver_round_matches_inlined_fedavg_reference() {
+        // Same RNG draw order, same sample-weighted aggregation: the driver
+        // on a plain single-model algorithm is FedAvg, bit for bit.
+        let (mut alg, parties) = setup(5, 0);
+        let reference = uncoded_rounds(&alg.spec, &parties, 2, 1);
+        let driven = driver_rounds(&mut alg, &parties, 2, &CodecSpec::dense(), 1);
+        assert_eq!(driven, reference, "driver == inlined FedAvg");
+    }
+
+    #[test]
+    fn dense_codec_round_is_bit_identical_to_uncoded_path() {
+        let (mut alg, parties) = setup(4, 30);
+        let reference = uncoded_rounds(&alg.spec, &parties, 1, 31);
+        let coded = driver_rounds(&mut alg, &parties, 1, &CodecSpec::dense(), 31);
+        assert_eq!(coded, reference, "dense must be lossless");
+
+        // Delta+dense pays a real roundtrip ((p − r) + r rounds in f32), so
+        // it is near-lossless, not bit-identical.
+        let delta = driver_rounds(&mut alg, &parties, 1, &CodecSpec::dense().with_delta(), 31);
+        for (&a, &b) in reference.iter().zip(delta.iter()) {
+            assert!(
+                (a - b).abs() <= a.abs().max(1.0) * 1e-6,
+                "delta+dense drifted: {a} vs {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn quantized_round_stays_numerically_pinned_to_dense() {
+        let (mut alg, parties) = setup(4, 32);
+        let dense = driver_rounds(&mut alg, &parties, 1, &CodecSpec::dense(), 33);
+        let init = Sequential::build(&alg.spec, &mut StdRng::seed_from_u64(33)).params_flat();
+        let rel_to = |coded: &[f32]| {
+            let num: f32 = dense
+                .iter()
+                .zip(coded.iter())
+                .map(|(a, b)| (a - b) * (a - b))
+                .sum();
+            let den: f32 = dense.iter().map(|a| a * a).sum();
+            (num / den.max(f32::MIN_POSITIVE)).sqrt()
+        };
+        for codec in [CodecSpec::quant8(256), CodecSpec::quant8(256).with_delta()] {
+            let coded = driver_rounds(&mut alg, &parties, 1, &codec, 33);
+            let rel = rel_to(&coded);
+            assert!(
+                rel <= 1e-2,
+                "{codec}: aggregated params drift {rel:.2e} from the dense reference"
+            );
+        }
+        // Top-k is aggressive by design (only a quarter of the residual
+        // ships), so it is not held to the int8 pinning bound — but it must
+        // still move the globals toward the dense result, not away.
+        let coded = driver_rounds(
+            &mut alg,
+            &parties,
+            1,
+            &CodecSpec::topk(0.25).with_delta(),
+            33,
+        );
+        assert!(
+            rel_to(&coded) < rel_to(&init),
+            "sparsified round must land closer to the dense result than the start"
+        );
+    }
+
+    #[test]
+    fn empty_party_contributes_nothing() {
+        let (mut alg, mut parties) = setup(2, 8);
+        // Give party 0 no data.
+        let shape = parties[0].train().shape();
+        let classes = parties[0].train().num_classes();
+        parties[0].advance_window(
+            shiftex_data::Dataset::empty(classes, shape),
+            shiftex_data::Dataset::empty(classes, shape),
+        );
+        let globals = vec![0.5f32; 4];
+        let echo = local_update(&alg.spec, &globals, &parties[0], &TrainConfig::default(), 9);
+        assert_eq!(echo.num_samples, 0);
+        assert_eq!(echo.params, globals, "a dataless party echoes the globals");
+        // Its zero-sample update carries no weight in the fold.
+        let reference = uncoded_rounds(&alg.spec, &parties, 1, 9);
+        assert_eq!(
+            driver_rounds(&mut alg, &parties, 1, &CodecSpec::dense(), 9),
+            reference
+        );
+    }
+
+    #[test]
+    fn rounds_improve_global_accuracy() {
+        let (mut alg, parties) = setup(6, 11);
+        let store = PopulationStore::from_parties(parties);
+        let everyone = store.view(store.party_ids());
+        let mut rng = StdRng::seed_from_u64(12);
+        alg.init(&everyone, &mut rng);
+        let before = alg.eval(&everyone);
+        let mut engine = ScenarioEngine::new(ScenarioSpec::sync(12), everyone.ids());
+        for _ in 0..5 {
+            round(
                 &mut alg,
                 &store,
                 &mut engine,
                 &CodecSpec::dense(),
-                &mut UniformSelector,
-                &FoldPolicy::Mean,
                 None,
                 &mut rng,
             );
         }
-
-        let mut job = crate::FederatedJob::new(
-            alg.spec.clone(),
-            parties.clone(),
-            crate::RoundConfig {
-                participants_per_round: 5,
-                ..Default::default()
-            },
+        let after = alg.eval(&everyone);
+        assert!(
+            after > before,
+            "federated training should help: {before} -> {after}"
         );
-        let mut rng2 = StdRng::seed_from_u64(1);
-        // Burn the draw the algorithm's init consumed.
-        let init2 = Sequential::build(&alg.spec, &mut rng2).params_flat();
-        assert_eq!(init, init2);
-        let mut engine2 = ScenarioEngine::new(ScenarioSpec::sync(3), &ids);
-        let report =
-            job.run_rounds_scenario(init2, 2, &mut UniformSelector, &mut engine2, &mut rng2);
-        assert_eq!(alg.params, report.params, "driver == legacy job path");
+        // The synthetic generator is deliberately hard (class signal ~0.25 of
+        // noise scale); 5 rounds on 16-dim data lands well above the 33 %
+        // chance level without saturating.
+        assert!(after > 0.38, "post-training accuracy {after}");
+    }
+
+    #[test]
+    fn churned_rounds_give_every_selected_update_one_fate() {
+        let (mut alg, parties) = setup(8, 8);
+        let ids: Vec<PartyId> = parties.iter().map(Party::id).collect();
+        let store = PopulationStore::from_parties(parties);
+        let mut rng = StdRng::seed_from_u64(9);
+        alg.init(&store.view(ids.clone()), &mut rng);
+        let spec = ScenarioSpec::sync(3).with_churn(ChurnSpec {
+            join_fraction: 0.25,
+            join_ramp_rounds: 3,
+            leave_fraction: 0.25,
+            leave_after: 2,
+            horizon: 6,
+            dropout: 0.3,
+        });
+        let mut engine = ScenarioEngine::new(spec, &ids);
+        let ledger = CommLedger::new();
+        let codec = CodecSpec::dense();
+        let rounds: Vec<usize> = (0..6)
+            .map(|_| {
+                round(
+                    &mut alg,
+                    &store,
+                    &mut engine,
+                    &codec,
+                    Some(&ledger),
+                    &mut rng,
+                )
+                .round
+            })
+            .collect();
+        assert_eq!(rounds, vec![1, 2, 3, 4, 5, 6], "every round is reported");
+        let totals = engine.stats();
+        assert_eq!(
+            totals.selected,
+            totals.delivered + totals.dropped_churn + totals.dropped_late + totals.deferred,
+            "every selected update has exactly one first-round fate: {totals:?}"
+        );
+        assert!(
+            totals.dropped_churn > 0,
+            "30% dropout over 6 rounds: {totals:?}"
+        );
+        // Aborted uploads are on the ledger.
+        assert_eq!(
+            ledger.totals().aborted_messages,
+            totals.dropped_churn + totals.dropped_late
+        );
     }
 
     #[test]
@@ -577,67 +761,113 @@ mod tests {
         let before = alg.params.clone();
         let spec = ScenarioSpec::sync(1).with_churn(ChurnSpec::dropout_only(1.0));
         let mut engine = ScenarioEngine::new(spec, &ids);
-        let out = run_algorithm_round(
+        let ledger = CommLedger::new();
+        let codec = CodecSpec::dense();
+        let out = round(
             &mut alg,
             &store,
             &mut engine,
-            &CodecSpec::dense(),
-            &mut UniformSelector,
-            &FoldPolicy::Mean,
-            None,
+            &codec,
+            Some(&ledger),
             &mut rng,
         );
         assert_eq!(out.folded, 0);
         assert_eq!(out.lost.len(), 4);
+        assert_eq!(ledger.totals().aborted_messages, 4);
         assert_eq!(alg.params, before, "no survivors → globals unchanged");
     }
 
     #[test]
-    fn driver_meters_first_contact_then_regular_frames() {
-        let (mut alg, parties) = setup(3, 11);
+    fn deferred_updates_mature_even_when_pool_empties() {
+        let (mut alg, parties) = setup(3, 14);
         let ids: Vec<PartyId> = parties.iter().map(Party::id).collect();
         let store = PopulationStore::from_parties(parties);
-        let mut rng = StdRng::seed_from_u64(12);
-        alg.init(&store.view(store.party_ids()), &mut rng);
-        let codec = CodecSpec::quant8(256).with_delta();
-        let ledger = CommLedger::new();
-        let mut engine = ScenarioEngine::new(ScenarioSpec::sync(2), &ids);
-        run_algorithm_round(
-            &mut alg,
-            &store,
-            &mut engine,
-            &codec,
-            &mut UniformSelector,
-            &FoldPolicy::Mean,
-            Some(&ledger),
-            &mut rng,
-        );
-        let n = alg.params.len();
-        let t1 = ledger.totals();
-        assert_eq!(t1.down_bytes, 0, "round 1 is all first contact");
-        assert_eq!(
-            t1.first_contact_down_bytes,
-            3 * codec.first_contact_spec().broadcast_len(n) as u64
-        );
-        run_algorithm_round(
-            &mut alg,
-            &store,
-            &mut engine,
-            &codec,
-            &mut UniformSelector,
-            &FoldPolicy::Mean,
-            Some(&ledger),
-            &mut rng,
-        );
-        let t2 = ledger.totals();
-        assert_eq!(
-            t2.down_bytes,
-            3 * codec.broadcast_len(n) as u64,
-            "round 2 recipients hold the reference"
-        );
-        assert_eq!(
-            t2.first_contact_down_bytes, t1.first_contact_down_bytes,
-            "no new first contacts"
-        );
+        let mut rng = StdRng::seed_from_u64(15);
+        alg.init(&store.view(ids.clone()), &mut rng);
+        let init = alg.params.clone();
+        // Every update is 1 round late; every party leaves after round 1.
+        let spec = ScenarioSpec::sync(2).with_stragglers(StragglerSpec {
+            dist: DelayDist::Constant(1.5),
+            slow_fraction: 0.0,
+            slow_factor: 1.0,
+            deadline: 1.0,
+            late: LatePolicy::Defer,
+        });
+        let mut engine = ScenarioEngine::new(spec, &ids);
+        let mut churn = ChurnSchedule::always_on(0.0, 0);
+        for &id in &ids {
+            churn = churn.with_leave(id, 2);
+        }
+        *engine.churn_mut() = churn;
+        let codec = CodecSpec::dense();
+        let r1 = round(&mut alg, &store, &mut engine, &codec, None, &mut rng);
+        assert_eq!((r1.folded, r1.deferred), (0, 3));
+        // Round 2 has nobody live, but the deferred updates still mature
+        // and aggregate.
+        let r2 = round(&mut alg, &store, &mut engine, &codec, None, &mut rng);
+        assert!(r2.live.is_empty());
+        assert_eq!(r2.folded, 3);
+        assert_eq!(engine.stats().deferred, 3);
+        assert_ne!(alg.params, init, "matured updates must be folded in");
+    }
+
+    #[test]
+    fn ledger_meters_exact_encoded_sizes_per_codec() {
+        let (mut alg, parties) = setup(3, 34);
+        let ids: Vec<PartyId> = parties.iter().map(Party::id).collect();
+        let store = PopulationStore::from_parties(parties);
+        for codec in [
+            CodecSpec::dense(),
+            CodecSpec::quant8(128),
+            CodecSpec::topk(0.1).with_delta(),
+            CodecSpec::quant8(256).with_delta(),
+        ] {
+            let mut rng = StdRng::seed_from_u64(35);
+            alg.init(&store.view(ids.clone()), &mut rng);
+            let n = alg.params.len();
+            let ledger = CommLedger::new();
+            let mut engine = ScenarioEngine::new(ScenarioSpec::sync(2), &ids);
+            round(
+                &mut alg,
+                &store,
+                &mut engine,
+                &codec,
+                Some(&ledger),
+                &mut rng,
+            );
+            let t1 = ledger.totals();
+            // One download + one upload per member. Round 1's recipients
+            // hold no reference: their full-state frames land on the
+            // distinct first-contact counters.
+            assert_eq!(t1.messages, 6, "{codec}");
+            assert_eq!(t1.down_bytes, 0, "{codec}: round 1 is all first contact");
+            assert_eq!(t1.first_contact_messages, 3, "{codec}");
+            assert_eq!(
+                t1.first_contact_down_bytes,
+                3 * codec.first_contact_spec().broadcast_len(n) as u64,
+                "{codec}"
+            );
+            assert_eq!(t1.up_bytes, 3 * codec.update_len(n) as u64, "{codec}");
+            round(
+                &mut alg,
+                &store,
+                &mut engine,
+                &codec,
+                Some(&ledger),
+                &mut rng,
+            );
+            assert!(engine.last_broadcast(0).is_some());
+            let t2 = ledger.totals();
+            assert_eq!(
+                t2.down_bytes,
+                3 * codec.broadcast_len(n) as u64,
+                "{codec}: round 2 recipients hold the reference"
+            );
+            assert_eq!(
+                t2.first_contact_down_bytes, t1.first_contact_down_bytes,
+                "{codec}: no new first contacts"
+            );
+            assert_eq!(t2.up_bytes, 6 * codec.update_len(n) as u64, "{codec}");
+        }
     }
 }

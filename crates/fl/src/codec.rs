@@ -27,7 +27,7 @@
 //!
 //! [`CodecSpec`] is the serialisable, `Copy` configuration that selects and
 //! parameterises a codec; it rides inside
-//! [`RoundConfig`](crate::RoundConfig) through every round path. Encoded
+//! [`RoundCodec`](crate::RoundCodec) through every round. Encoded
 //! sizes are **value-independent** — [`CodecSpec::update_len`] /
 //! [`CodecSpec::broadcast_len`] compute the exact wire size from the
 //! parameter count alone, which is what lets the scenario engine meter
@@ -466,7 +466,7 @@ pub enum CodecKind {
 /// Wire-format configuration: a base codec plus an optional [`Delta`] stage.
 ///
 /// `Copy` and serialisable so it can ride inside
-/// [`RoundConfig`](crate::RoundConfig) and scenario reports.
+/// [`RoundCodec`](crate::RoundCodec) and scenario reports.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CodecSpec {
     /// Base payload codec.

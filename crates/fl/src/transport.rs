@@ -1,8 +1,8 @@
 //! The cohort transport seam: where a round's broadcast → local-step →
 //! upload exchange actually happens.
 //!
-//! [`run_algorithm_round_with`](crate::run_algorithm_round_with)
-//! historically inlined the exchange: materialize the cohort, hand every
+//! [`run_algorithm_round`](crate::run_algorithm_round) historically
+//! inlined the exchange: materialize the cohort, hand every
 //! member the decoded broadcast, call its local step, and ship the result
 //! through the simulated wire
 //! ([`ScenarioEngine::transport_upload`]). That is exactly the part of a

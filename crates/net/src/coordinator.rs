@@ -2,7 +2,7 @@
 //!
 //! [`Coordinator`] owns one TCP connection per worker process and runs the
 //! broadcast → remote-train → upload leg of each round over them, plugging
-//! into [`run_algorithm_round_transported`](shiftex_fl::run_algorithm_round_transported)
+//! into [`run_algorithm_round`](shiftex_fl::run_algorithm_round)
 //! exactly where [`LocalTransport`](shiftex_fl::LocalTransport) runs the
 //! in-process exchange. The [`ScenarioEngine`] stays the single metering
 //! and membership authority: the coordinator calls

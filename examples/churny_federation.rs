@@ -1,63 +1,99 @@
-//! Churny federation: the same job run under the paper's clean synchronous
-//! protocol and under a deployment-grade scenario — parties joining late,
-//! leaving for good, dropping out mid-round, straggling past the deadline —
-//! with staleness-aware buffered aggregation absorbing the chaos.
+//! Churny federation: the same FedAvg federation run under the paper's
+//! clean synchronous protocol and under a deployment-grade scenario —
+//! parties joining late, leaving for good, dropping out mid-round,
+//! straggling past the deadline — with staleness-aware buffered aggregation
+//! absorbing the chaos.
 //!
 //! ```text
 //! cargo run --release --example churny_federation
 //! ```
 
 use rand::{rngs::StdRng, SeedableRng};
+use shiftex::baselines::FedAvg;
 use shiftex::data::{ImageShape, PrototypeGenerator};
 use shiftex::fl::{
-    AsyncSpec, ChurnSpec, FederatedJob, LatePolicy, Party, PartyId, RoundConfig, ScenarioEngine,
-    ScenarioSpec, StragglerSpec, UniformSelector,
+    run_algorithm_round, AsyncSpec, ChurnSpec, CodecSpec, CommLedger, FederatedAlgorithm,
+    FoldPolicy, LatePolicy, LocalTransport, Party, PartyId, PopulationStore, RoundCodec,
+    ScenarioEngine, ScenarioSpec, StragglerSpec, UniformSelector,
 };
-use shiftex::nn::{ArchSpec, Sequential};
+use shiftex::nn::{ArchSpec, TrainConfig};
 
 const ROUNDS: usize = 12;
 
-fn population(rng: &mut StdRng) -> Vec<Party> {
+fn population(rng: &mut StdRng) -> PopulationStore {
     let gen = PrototypeGenerator::new(ImageShape::new(1, 6, 6), 4, rng);
-    (0..20)
-        .map(|i| {
-            Party::new(
-                PartyId(i),
-                gen.generate_uniform(24, rng),
-                gen.generate_uniform(12, rng),
-            )
-        })
-        .collect()
+    PopulationStore::from_parties(
+        (0..20)
+            .map(|i| {
+                Party::new(
+                    PartyId(i),
+                    gen.generate_uniform(24, rng),
+                    gen.generate_uniform(12, rng),
+                )
+            })
+            .collect(),
+    )
+}
+
+/// Runs `ROUNDS` FedAvg rounds (cohort 10) under `scenario`, printing the
+/// first rows of the participation record; returns the final live-member
+/// accuracy.
+fn run(
+    population: &PopulationStore,
+    scenario: ScenarioSpec,
+    ledger: &CommLedger,
+    rows: usize,
+) -> (f32, ScenarioEngine) {
+    let spec = ArchSpec::mlp("churny", 36, &[16], 4);
+    let mut fedavg = FedAvg::new(spec, TrainConfig::default(), 10);
+    let ids = population.party_ids();
+    let mut rng = StdRng::seed_from_u64(2);
+    fedavg.init(&population.view(ids.clone()), &mut rng);
+    let mut engine = ScenarioEngine::new(scenario, &ids);
+    let mut accuracy = 0.0;
+    for _ in 0..ROUNDS {
+        let before = engine.stats();
+        let outcome = run_algorithm_round(
+            &mut fedavg,
+            population,
+            &mut engine,
+            RoundCodec::Static(&CodecSpec::dense()),
+            &mut UniformSelector,
+            &FoldPolicy::Mean,
+            Some(ledger),
+            &mut rng,
+            &mut LocalTransport,
+        );
+        let delta = engine.stats().minus(&before);
+        if outcome.round <= rows {
+            println!(
+                "  round {:>2}: live {:>2}, selected {}, delivered {}, lost {}",
+                outcome.round,
+                outcome.live.len(),
+                delta.selected,
+                delta.delivered,
+                delta.dropped_churn + delta.dropped_late
+            );
+        }
+        accuracy = fedavg.eval(&population.view(outcome.live));
+    }
+    (accuracy, engine)
 }
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(11);
-    let spec = ArchSpec::mlp("churny", 36, &[16], 4);
-    let init = Sequential::build(&spec, &mut rng).params_flat();
-    let cfg = RoundConfig {
-        participants_per_round: 10,
-        ..RoundConfig::default()
-    };
+    let population = population(&mut rng);
 
     // 1. The paper's protocol: synchronous, everyone always available.
-    let mut job = FederatedJob::new(spec.clone(), population(&mut rng), cfg);
-    let ids: Vec<PartyId> = job.party_ids();
-    let mut engine = ScenarioEngine::new(ScenarioSpec::sync(1), &ids);
-    let mut rng_run = StdRng::seed_from_u64(2);
-    let clean = job.run_rounds_scenario(
-        init.clone(),
-        ROUNDS,
-        &mut UniformSelector,
-        &mut engine,
-        &mut rng_run,
-    );
+    let (clean, engine) = run(&population, ScenarioSpec::sync(1), &CommLedger::new(), 0);
     println!(
         "clean sync     : accuracy {:.1}%, {} updates delivered, 0 lost",
-        clean.accuracy_per_round.last().unwrap() * 100.0,
-        clean.totals.delivered
+        clean * 100.0,
+        engine.stats().delivered
     );
 
-    // 2. Same job under churn + stragglers + async buffered aggregation.
+    // 2. Same federation under churn + stragglers + async buffered
+    // aggregation.
     let scenario = ScenarioSpec::sync(1)
         .with_churn(ChurnSpec {
             join_fraction: 0.25,  // a quarter of the fleet arrives late…
@@ -74,40 +110,22 @@ fn main() {
             max_staleness: 3,
             server_lr: 1.0,
         });
-    let mut job = FederatedJob::new(spec, population(&mut rng), cfg);
-    let mut engine = ScenarioEngine::new(scenario, &ids);
-    let mut rng_run = StdRng::seed_from_u64(2);
-    let churny = job.run_rounds_scenario(
-        init,
-        ROUNDS,
-        &mut UniformSelector,
-        &mut engine,
-        &mut rng_run,
-    );
+    let ledger = CommLedger::new();
+    let (churny, engine) = run(&population, scenario, &ledger, 4);
+    println!("  …");
 
-    let t = churny.totals;
+    let t = engine.stats();
     println!(
         "churny async   : accuracy {:.1}%, {} delivered / {} dropped mid-round / {} deferred / {} stale",
-        churny.accuracy_per_round.last().unwrap() * 100.0,
+        churny * 100.0,
         t.delivered,
         t.dropped_churn,
         t.deferred,
         t.stale_dropped
     );
-    let comm = job.ledger().totals();
+    let comm = ledger.totals();
     println!(
         "comm ledger    : {} ok messages, {} aborted uploads ({} B wasted)",
         comm.messages, comm.aborted_messages, comm.aborted_up_bytes
     );
-    for row in churny.participation.iter().take(4) {
-        println!(
-            "  round {:>2}: live {:>2}, selected {}, delivered {}, lost {}",
-            row.round,
-            row.live,
-            row.delta.selected,
-            row.delta.delivered,
-            row.delta.dropped_churn + row.delta.dropped_late
-        );
-    }
-    println!("  …");
 }

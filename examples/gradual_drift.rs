@@ -13,8 +13,34 @@ use rand::{rngs::StdRng, SeedableRng};
 use shiftex::core::{ShiftEx, ShiftExConfig};
 use shiftex::data::{Corruption, ImageShape, PrototypeGenerator, Regime, RegimeId};
 use shiftex::detect::DriftMonitor;
-use shiftex::fl::{Party, PartyId};
+use shiftex::fl::{
+    run_algorithm_round, CodecSpec, FederatedAlgorithm, FoldPolicy, LocalTransport, Party, PartyId,
+    PopulationStore, RoundCodec, ScenarioEngine, ScenarioSpec, UniformSelector,
+};
 use shiftex::nn::ArchSpec;
+
+/// `rounds` synchronous federated rounds through the one round driver.
+fn run_rounds(
+    shiftex: &mut ShiftEx,
+    population: &PopulationStore,
+    engine: &mut ScenarioEngine,
+    rounds: usize,
+    rng: &mut StdRng,
+) {
+    for _ in 0..rounds {
+        run_algorithm_round(
+            shiftex,
+            population,
+            engine,
+            RoundCodec::Static(&CodecSpec::dense()),
+            &mut UniformSelector,
+            &FoldPolicy::Mean,
+            None,
+            rng,
+            &mut LocalTransport,
+        );
+    }
+}
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(31);
@@ -23,7 +49,7 @@ fn main() {
 
     let n = 10;
     let drifting: Vec<usize> = (0..n / 2).collect(); // first half drifts
-    let mut parties: Vec<Party> = (0..n)
+    let parties: Vec<Party> = (0..n)
         .map(|i| {
             Party::new(
                 PartyId(i),
@@ -32,16 +58,20 @@ fn main() {
             )
         })
         .collect();
+    let mut population = PopulationStore::from_parties(parties);
+    let ids = population.party_ids();
+    let mut engine = ScenarioEngine::new(ScenarioSpec::sync(31), &ids);
 
     let cfg = ShiftExConfig {
         participants_per_round: 6,
         ..ShiftExConfig::default()
     };
     let mut shiftex = ShiftEx::new(cfg, spec, &mut rng);
-    shiftex.bootstrap(&parties, 12, &mut rng);
+    shiftex.init(&population.view(ids.clone()), &mut rng);
+    run_rounds(&mut shiftex, &population, &mut engine, 12, &mut rng);
     println!(
         "W0 clear: accuracy {:.1}%\n",
-        shiftex.evaluate(&parties) * 100.0
+        shiftex.eval(&population.view(ids.clone())) * 100.0
     );
 
     // Fog rolls in *gradually*: severity ramps 1 → 5 over five windows.
@@ -50,8 +80,8 @@ fn main() {
     for (window, severity) in (1u8..=5).enumerate() {
         let regime =
             Regime::corrupted(Corruption::Fog, severity).with_id(RegimeId(severity as u32));
-        for (i, p) in parties.iter_mut().enumerate() {
-            let r = if drifting.contains(&i) {
+        population.advance_window_with(window + 1, |p| {
+            let r = if drifting.contains(&p.id().0) {
                 regime.clone()
             } else {
                 Regime::clear()
@@ -60,8 +90,8 @@ fn main() {
                 gen.generate_with_regime(40, &r, &mut rng),
                 gen.generate_with_regime(20, &r, &mut rng),
             );
-        }
-        let report = shiftex.process_window(&parties, &mut rng);
+        });
+        let report = shiftex.process_window(&population.view(ids.clone()), &mut rng);
         // Initialise the CUSUM reference at the calibrated noise level.
         let mon = monitor.get_or_insert_with(|| {
             DriftMonitor::new(report.delta_cov * 0.3, report.delta_cov * 2.0)
@@ -75,9 +105,7 @@ fn main() {
             scores.iter().sum::<f32>() / scores.len().max(1) as f32
         };
         let alarm = mon.observe(mean_mmd.max(0.0));
-        for _ in 0..6 {
-            ShiftEx::train_round(&mut shiftex, &parties, &mut rng);
-        }
+        run_rounds(&mut shiftex, &population, &mut engine, 6, &mut rng);
         println!(
             "W{} fog severity {severity}: mean MMD {:.4} (δ_cov {:.4}) | window detector: {:>2} \
              parties | CUSUM pressure {:.3}{} | acc {:.1}% | {} experts",
@@ -87,7 +115,7 @@ fn main() {
             report.cov_shifted.len(),
             mon.pressure(),
             if alarm { "  << DRIFT ALARM" } else { "" },
-            shiftex.evaluate(&parties) * 100.0,
+            shiftex.eval(&population.view(ids.clone())) * 100.0,
             shiftex.num_experts()
         );
     }

@@ -10,9 +10,35 @@
 use rand::{rngs::StdRng, SeedableRng};
 use shiftex::core::{ShiftEx, ShiftExConfig};
 use shiftex::data::{ImageShape, PrototypeGenerator, Regime};
-use shiftex::fl::{Party, PartyId};
+use shiftex::fl::{
+    run_algorithm_round, CodecSpec, FederatedAlgorithm, FoldPolicy, LocalTransport, Party, PartyId,
+    PopulationStore, RoundCodec, ScenarioEngine, ScenarioSpec, UniformSelector,
+};
 use shiftex::nn::ArchSpec;
 use shiftex::tensor::rngx;
+
+/// `rounds` synchronous federated rounds through the one round driver.
+fn run_rounds(
+    shiftex: &mut ShiftEx,
+    population: &PopulationStore,
+    engine: &mut ScenarioEngine,
+    rounds: usize,
+    rng: &mut StdRng,
+) {
+    for _ in 0..rounds {
+        run_algorithm_round(
+            shiftex,
+            population,
+            engine,
+            RoundCodec::Static(&CodecSpec::dense()),
+            &mut UniformSelector,
+            &FoldPolicy::Mean,
+            None,
+            rng,
+            &mut LocalTransport,
+        );
+    }
+}
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(99);
@@ -21,7 +47,7 @@ fn main() {
     let spec = ArchSpec::lenet5_lite(shiftex::nn::InputShape { c: 1, h: 8, w: 8 }, classes, 24);
 
     let n = 10;
-    let mut parties: Vec<Party> = (0..n)
+    let parties: Vec<Party> = (0..n)
         .map(|i| {
             Party::new(
                 PartyId(i),
@@ -30,23 +56,27 @@ fn main() {
             )
         })
         .collect();
+    let mut population = PopulationStore::from_parties(parties);
+    let ids = population.party_ids();
+    let mut engine = ScenarioEngine::new(ScenarioSpec::sync(99), &ids);
 
     let cfg = ShiftExConfig {
         participants_per_round: 6,
         ..ShiftExConfig::default()
     };
     let mut shiftex = ShiftEx::new(cfg, spec, &mut rng);
-    shiftex.bootstrap(&parties, 12, &mut rng);
+    shiftex.init(&population.view(ids.clone()), &mut rng);
+    run_rounds(&mut shiftex, &population, &mut engine, 12, &mut rng);
     println!(
         "W0 (balanced case mix): accuracy {:.1}%",
-        shiftex.evaluate(&parties) * 100.0
+        shiftex.eval(&population.view(ids.clone())) * 100.0
     );
 
     // Flu season: half the clinics see a heavy skew towards classes 0–1,
     // with covariates (the imaging) unchanged.
     for season in 1..=3 {
-        for (i, p) in parties.iter_mut().enumerate() {
-            let regime = if i < n / 2 {
+        population.advance_window_with(season, |p| {
+            let regime = if p.id().0 < n / 2 {
                 let skew = rngx::dirichlet(&mut rng, 0.25, classes);
                 Regime::clear().with_label_dist(skew)
             } else {
@@ -56,18 +86,16 @@ fn main() {
                 gen.generate_with_regime(48, &regime, &mut rng),
                 gen.generate_with_regime(24, &regime, &mut rng),
             );
-        }
-        let report = shiftex.process_window(&parties, &mut rng);
-        for _ in 0..6 {
-            ShiftEx::train_round(&mut shiftex, &parties, &mut rng);
-        }
+        });
+        let report = shiftex.process_window(&population.view(ids.clone()), &mut rng);
+        run_rounds(&mut shiftex, &population, &mut engine, 6, &mut rng);
         println!(
             "season {season}: {} label-shifted clinics (δ_label = {:.3}), \
              {} covariate-shifted, accuracy {:.1}%",
             report.label_shifted.len(),
             report.delta_label,
             report.cov_shifted.len(),
-            shiftex.evaluate(&parties) * 100.0
+            shiftex.eval(&population.view(ids.clone())) * 100.0
         );
     }
 

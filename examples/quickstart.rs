@@ -8,15 +8,41 @@
 use rand::{rngs::StdRng, SeedableRng};
 use shiftex::core::{ShiftEx, ShiftExConfig};
 use shiftex::data::{Corruption, ImageShape, PrototypeGenerator, Regime};
-use shiftex::fl::{Party, PartyId};
+use shiftex::fl::{
+    run_algorithm_round, CodecSpec, FederatedAlgorithm, FoldPolicy, LocalTransport, Party, PartyId,
+    PopulationStore, RoundCodec, ScenarioEngine, ScenarioSpec, UniformSelector,
+};
 use shiftex::nn::ArchSpec;
+
+/// `rounds` synchronous federated rounds through the one round driver.
+fn run_rounds(
+    shiftex: &mut ShiftEx,
+    population: &PopulationStore,
+    engine: &mut ScenarioEngine,
+    rounds: usize,
+    rng: &mut StdRng,
+) {
+    for _ in 0..rounds {
+        run_algorithm_round(
+            shiftex,
+            population,
+            engine,
+            RoundCodec::Static(&CodecSpec::dense()),
+            &mut UniformSelector,
+            &FoldPolicy::Mean,
+            None,
+            rng,
+            &mut LocalTransport,
+        );
+    }
+}
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(7);
     let gen = PrototypeGenerator::new(ImageShape::new(3, 8, 8), 10, &mut rng);
 
     // 1. A 12-party federation on the clean distribution.
-    let mut parties: Vec<Party> = (0..12)
+    let parties: Vec<Party> = (0..12)
         .map(|i| {
             Party::new(
                 PartyId(i),
@@ -25,6 +51,9 @@ fn main() {
             )
         })
         .collect();
+    let mut population = PopulationStore::from_parties(parties);
+    let ids = population.party_ids();
+    let mut engine = ScenarioEngine::new(ScenarioSpec::sync(7), &ids);
 
     // 2. Bootstrap: FLIPS-balanced federated training of the first expert.
     let spec = ArchSpec::resnet18_lite(shiftex::nn::InputShape { c: 3, h: 8, w: 8 }, 10, 24);
@@ -33,16 +62,17 @@ fn main() {
         ..ShiftExConfig::default()
     };
     let mut shiftex = ShiftEx::new(cfg, spec, &mut rng);
-    shiftex.bootstrap(&parties, 12, &mut rng);
+    shiftex.init(&population.view(ids.clone()), &mut rng);
+    run_rounds(&mut shiftex, &population, &mut engine, 12, &mut rng);
     println!(
         "after bootstrap: accuracy {:.1}%",
-        shiftex.evaluate(&parties) * 100.0
+        shiftex.eval(&population.view(ids.clone())) * 100.0
     );
 
     // 3. A new stream window arrives: fog rolls in for half the federation.
     let fog = Regime::corrupted(Corruption::Fog, 5);
-    for (i, p) in parties.iter_mut().enumerate() {
-        let (train, test) = if i < 6 {
+    population.advance_window_with(1, |p| {
+        let (train, test) = if p.id().0 < 6 {
             (
                 gen.generate_with_regime(40, &fog, &mut rng),
                 gen.generate_with_regime(20, &fog, &mut rng),
@@ -54,10 +84,10 @@ fn main() {
             )
         };
         p.advance_window(train, test);
-    }
+    });
 
     // 4. ShiftEx detects the shift and reorganises the expert pool.
-    let report = shiftex.process_window(&parties, &mut rng);
+    let report = shiftex.process_window(&population.view(ids.clone()), &mut rng);
     println!(
         "window 1: {} covariate-shifted parties detected (δ_cov = {:.4}), \
          {} expert(s) created, {} reused",
@@ -68,15 +98,15 @@ fn main() {
     );
     println!(
         "post-shift accuracy: {:.1}%",
-        shiftex.evaluate(&parties) * 100.0
+        shiftex.eval(&population.view(ids.clone())) * 100.0
     );
 
     // 5. A few federated rounds recover the federation.
     for round in 1..=6 {
-        ShiftEx::train_round(&mut shiftex, &parties, &mut rng);
+        run_rounds(&mut shiftex, &population, &mut engine, 1, &mut rng);
         println!(
             "round {round}: accuracy {:.1}% ({} experts)",
-            shiftex.evaluate(&parties) * 100.0,
+            shiftex.eval(&population.view(ids.clone())) * 100.0,
             shiftex.num_experts()
         );
     }

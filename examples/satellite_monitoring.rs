@@ -10,8 +10,34 @@
 use rand::{rngs::StdRng, SeedableRng};
 use shiftex::core::{ShiftEx, ShiftExConfig};
 use shiftex::data::{Corruption, ImageShape, PrototypeGenerator, Regime, RegimeId};
-use shiftex::fl::{Party, PartyId};
+use shiftex::fl::{
+    run_algorithm_round, CodecSpec, FederatedAlgorithm, FoldPolicy, LocalTransport, Party, PartyId,
+    PopulationStore, RoundCodec, ScenarioEngine, ScenarioSpec, UniformSelector,
+};
 use shiftex::nn::ArchSpec;
+
+/// `rounds` synchronous federated rounds through the one round driver.
+fn run_rounds(
+    shiftex: &mut ShiftEx,
+    population: &PopulationStore,
+    engine: &mut ScenarioEngine,
+    rounds: usize,
+    rng: &mut StdRng,
+) {
+    for _ in 0..rounds {
+        run_algorithm_round(
+            shiftex,
+            population,
+            engine,
+            RoundCodec::Static(&CodecSpec::dense()),
+            &mut UniformSelector,
+            &FoldPolicy::Mean,
+            None,
+            rng,
+            &mut LocalTransport,
+        );
+    }
+}
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(2024);
@@ -19,7 +45,7 @@ fn main() {
     let spec = ArchSpec::densenet121_lite(shiftex::nn::InputShape { c: 3, h: 8, w: 8 }, 10, 24);
 
     let n = 10;
-    let mut parties: Vec<Party> = (0..n)
+    let parties: Vec<Party> = (0..n)
         .map(|i| {
             Party::new(
                 PartyId(i),
@@ -28,16 +54,20 @@ fn main() {
             )
         })
         .collect();
+    let mut population = PopulationStore::from_parties(parties);
+    let ids = population.party_ids();
+    let mut engine = ScenarioEngine::new(ScenarioSpec::sync(2024), &ids);
 
     let cfg = ShiftExConfig {
         participants_per_round: 6,
         ..ShiftExConfig::default()
     };
     let mut shiftex = ShiftEx::new(cfg, spec, &mut rng);
-    shiftex.bootstrap(&parties, 12, &mut rng);
+    shiftex.init(&population.view(ids.clone()), &mut rng);
+    run_rounds(&mut shiftex, &population, &mut engine, 12, &mut rng);
     println!(
         "W0 (clear summer imagery): accuracy {:.1}%",
-        shiftex.evaluate(&parties) * 100.0
+        shiftex.eval(&population.view(ids.clone())) * 100.0
     );
 
     // Seasons: winter frost arrives, clears, then *returns* next year.
@@ -57,9 +87,9 @@ fn main() {
         ("W4 stable winter", Some(&frost), &[0, 1, 2, 3, 4]),
     ];
 
-    for (label, regime, affected) in seasons {
-        for (i, p) in parties.iter_mut().enumerate() {
-            let r = if affected.contains(&i) {
+    for (window, (label, regime, affected)) in seasons.into_iter().enumerate() {
+        population.advance_window_with(window + 1, |p| {
+            let r = if affected.contains(&p.id().0) {
                 regime.cloned().unwrap_or_else(Regime::clear)
             } else {
                 Regime::clear()
@@ -68,17 +98,15 @@ fn main() {
                 gen.generate_with_regime(40, &r, &mut rng),
                 gen.generate_with_regime(20, &r, &mut rng),
             );
-        }
-        let report = shiftex.process_window(&parties, &mut rng);
-        for _ in 0..6 {
-            ShiftEx::train_round(&mut shiftex, &parties, &mut rng);
-        }
+        });
+        let report = shiftex.process_window(&population.view(ids.clone()), &mut rng);
+        run_rounds(&mut shiftex, &population, &mut engine, 6, &mut rng);
         println!(
             "{label}\n  detected {:>2} shifted | created {:?} | reused {:?} | accuracy {:.1}% | {} experts",
             report.cov_shifted.len(),
             report.created,
             report.reused,
-            shiftex.evaluate(&parties) * 100.0,
+            shiftex.eval(&population.view(ids.clone())) * 100.0,
             shiftex.num_experts()
         );
     }

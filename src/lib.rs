@@ -16,7 +16,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`core`] | `shiftex-core` | the ShiftEx framework (Algorithms 1–2, Eq. 2) |
-//! | [`fl`] | `shiftex-fl` | federated runtime: parties, rounds, FedAvg/FedProx |
+//! | [`fl`] | `shiftex-fl` | federated runtime: parties, the round driver, codecs |
 //! | [`flips`] | `shiftex-flips` | FLIPS label-balanced participant selection |
 //! | [`baselines`] | `shiftex-baselines` | FedProx, OORT, Fielding, FedDrift |
 //! | [`detect`] | `shiftex-detect` | MMD / JSD detectors + threshold calibration |
@@ -34,35 +34,48 @@
 //! use rand::{rngs::StdRng, SeedableRng};
 //! use shiftex::core::{ShiftEx, ShiftExConfig};
 //! use shiftex::data::{Corruption, ImageShape, PrototypeGenerator, Regime};
-//! use shiftex::fl::{Party, PartyId};
+//! use shiftex::fl::{
+//!     run_algorithm_round, CodecSpec, FederatedAlgorithm, FoldPolicy, LocalTransport, Party,
+//!     PartyId, PopulationStore, RoundCodec, ScenarioEngine, ScenarioSpec, UniformSelector,
+//! };
 //! use shiftex::nn::ArchSpec;
 //!
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let gen = PrototypeGenerator::new(ImageShape::new(1, 8, 8), 4, &mut rng);
 //!
 //! // A small federation on the clean distribution.
-//! let mut parties: Vec<Party> = (0..8)
+//! let parties: Vec<Party> = (0..8)
 //!     .map(|i| Party::new(PartyId(i),
 //!                         gen.generate_uniform(40, &mut rng),
 //!                         gen.generate_uniform(20, &mut rng)))
 //!     .collect();
+//! let mut population = PopulationStore::from_parties(parties);
+//! let ids = population.party_ids();
 //!
-//! // Bootstrap a global model, then let fog arrive for half the parties.
+//! // Bootstrap a global model with three synchronous rounds of the one
+//! // round driver every algorithm runs through.
 //! let spec = ArchSpec::mlp("quickstart", 64, &[24, 12], 4);
 //! let mut shiftex = ShiftEx::new(ShiftExConfig::default(), spec, &mut rng);
-//! shiftex.bootstrap(&parties, 3, &mut rng);
+//! shiftex.init(&population.view(ids.clone()), &mut rng);
+//! let mut engine = ScenarioEngine::new(ScenarioSpec::sync(0), &ids);
+//! for _ in 0..3 {
+//!     run_algorithm_round(&mut shiftex, &population, &mut engine,
+//!                         RoundCodec::Static(&CodecSpec::dense()), &mut UniformSelector,
+//!                         &FoldPolicy::Mean, None, &mut rng, &mut LocalTransport);
+//! }
 //!
+//! // Then fog arrives for half the parties.
 //! let fog = Regime::corrupted(Corruption::Fog, 5);
-//! for (i, p) in parties.iter_mut().enumerate() {
-//!     let (train, test) = if i < 4 {
+//! population.advance_window_with(1, |p| {
+//!     let (train, test) = if p.id().0 < 4 {
 //!         (gen.generate_with_regime(40, &fog, &mut rng),
 //!          gen.generate_with_regime(20, &fog, &mut rng))
 //!     } else {
 //!         (gen.generate_uniform(40, &mut rng), gen.generate_uniform(20, &mut rng))
 //!     };
 //!     p.advance_window(train, test);
-//! }
-//! let report = shiftex.process_window(&parties, &mut rng);
+//! });
+//! let report = shiftex.process_window(&population.view(ids), &mut rng);
 //! assert!(report.cov_shifted.len() >= 2, "the fog cohort is detected");
 //! ```
 

@@ -6,7 +6,10 @@ use rand::{rngs::StdRng, SeedableRng};
 use shiftex::core::{ShiftEx, ShiftExConfig};
 use shiftex::data::{Corruption, DatasetKind, ImageShape, PrototypeGenerator, Regime, SimScale};
 use shiftex::experiments::{build_algorithm, run_scenario, Scenario, ALGORITHM_NAMES};
-use shiftex::fl::{FederatedAlgorithm, FoldPolicy, Party, PartyId};
+use shiftex::fl::{
+    run_algorithm_round, CodecSpec, FederatedAlgorithm, FoldPolicy, LocalTransport, Party, PartyId,
+    PopulationStore, RoundCodec, ScenarioEngine, ScenarioSpec, UniformSelector,
+};
 use shiftex::nn::ArchSpec;
 
 #[test]
@@ -65,7 +68,7 @@ fn expert_lifecycle_create_reuse_and_bounded_pool() {
     let mut rng = StdRng::seed_from_u64(3);
     let gen = PrototypeGenerator::new(ImageShape::new(3, 8, 8), 6, &mut rng);
     let spec = ArchSpec::resnet18_lite(shiftex::nn::InputShape { c: 3, h: 8, w: 8 }, 6, 16);
-    let mut parties: Vec<Party> = (0..10)
+    let parties: Vec<Party> = (0..10)
         .map(|i| {
             Party::new(
                 PartyId(i),
@@ -79,7 +82,26 @@ fn expert_lifecycle_create_reuse_and_bounded_pool() {
         ..ShiftExConfig::default()
     };
     let mut shiftex = ShiftEx::new(cfg, spec, &mut rng);
-    shiftex.bootstrap(&parties, 8, &mut rng);
+    let mut store = PopulationStore::from_parties(parties);
+    let ids = store.party_ids();
+    let mut engine = ScenarioEngine::new(ScenarioSpec::sync(3), &ids);
+    let mut train = |shiftex: &mut ShiftEx, store: &PopulationStore, rounds, rng: &mut StdRng| {
+        for _ in 0..rounds {
+            run_algorithm_round(
+                shiftex,
+                store,
+                &mut engine,
+                RoundCodec::Static(&CodecSpec::dense()),
+                &mut UniformSelector,
+                &FoldPolicy::Mean,
+                None,
+                rng,
+                &mut LocalTransport,
+            );
+        }
+    };
+    shiftex.init(&store.view(ids.clone()), &mut rng);
+    train(&mut shiftex, &store, 8, &mut rng);
 
     let fog = Regime::corrupted(Corruption::Fog, 5);
     let mut created_total = 0;
@@ -91,8 +113,8 @@ fn expert_lifecycle_create_reuse_and_bounded_pool() {
         } else {
             Regime::clear()
         };
-        for (i, p) in parties.iter_mut().enumerate() {
-            let r = if i < 5 {
+        store.advance_window_with(window + 1, |p| {
+            let r = if p.id().0 < 5 {
                 regime.clone()
             } else {
                 Regime::clear()
@@ -101,13 +123,11 @@ fn expert_lifecycle_create_reuse_and_bounded_pool() {
                 gen.generate_with_regime(40, &r, &mut rng),
                 gen.generate_with_regime(20, &r, &mut rng),
             );
-        }
-        let report = shiftex.process_window(&parties, &mut rng);
+        });
+        let report = shiftex.process_window(&store.view(ids.clone()), &mut rng);
         created_total += report.created.len();
         reused_total += report.reused.len();
-        for _ in 0..4 {
-            ShiftEx::train_round(&mut shiftex, &parties, &mut rng);
-        }
+        train(&mut shiftex, &store, 4, &mut rng);
     }
     assert!(
         created_total >= 1,
@@ -126,10 +146,6 @@ fn expert_lifecycle_create_reuse_and_bounded_pool() {
 
 #[test]
 fn algorithms_are_interchangeable_as_trait_objects() {
-    use shiftex::fl::{
-        run_algorithm_round, CodecSpec, PopulationStore, ScenarioEngine, ScenarioSpec,
-        UniformSelector,
-    };
     let scenario = Scenario::build(DatasetKind::Cifar10C, SimScale::Smoke, 8);
     let mut rng = StdRng::seed_from_u64(9);
     let mut algorithms: Vec<Box<dyn FederatedAlgorithm>> = ALGORITHM_NAMES
@@ -148,11 +164,12 @@ fn algorithms_are_interchangeable_as_trait_objects() {
             alg.as_mut(),
             &store,
             &mut engine,
-            &CodecSpec::dense(),
+            RoundCodec::Static(&CodecSpec::dense()),
             &mut UniformSelector,
             &FoldPolicy::Mean,
             None,
             &mut rng,
+            &mut LocalTransport,
         );
         assert!(out.folded > 0, "{}: a sync round must fold", alg.name());
         let acc = alg.eval(&store.view(store.party_ids()));

@@ -3,10 +3,15 @@
 //! communication is metered.
 
 use rand::{rngs::StdRng, SeedableRng};
+use shiftex::baselines::FedAvg;
 use shiftex::core::{compute_shift_stats, ShiftEx, ShiftExConfig};
 use shiftex::data::{ImageShape, PrototypeGenerator};
-use shiftex::fl::{CommLedger, Party, PartyId};
-use shiftex::nn::{ArchSpec, Sequential};
+use shiftex::fl::{
+    run_algorithm_round, CodecSpec, CommLedger, CommTotals, FederatedAlgorithm, FoldPolicy,
+    LocalTransport, Party, PartyId, PopulationStore, RoundCodec, ScenarioEngine, ScenarioSpec,
+    UniformSelector,
+};
+use shiftex::nn::{ArchSpec, Sequential, TrainConfig};
 use shiftex::tee::{Enclave, TeeError};
 
 fn party(samples: usize, rng: &mut StdRng) -> (Party, PrototypeGenerator) {
@@ -17,6 +22,38 @@ fn party(samples: usize, rng: &mut StdRng) -> (Party, PrototypeGenerator) {
         gen.generate_uniform(samples / 2, rng),
     );
     (p, gen)
+}
+
+/// Enrols `alg` on `parties` and runs `rounds` clean synchronous driver
+/// rounds under `codec`, returning the ledger totals after each round.
+fn drive(
+    alg: &mut dyn FederatedAlgorithm,
+    parties: Vec<Party>,
+    codec: CodecSpec,
+    rounds: usize,
+    rng: &mut StdRng,
+) -> Vec<CommTotals> {
+    let store = PopulationStore::from_parties(parties);
+    let ids = store.party_ids();
+    alg.init(&store.view(ids.clone()), rng);
+    let mut engine = ScenarioEngine::new(ScenarioSpec::sync(1), &ids);
+    let ledger = CommLedger::new();
+    (0..rounds)
+        .map(|_| {
+            run_algorithm_round(
+                alg,
+                &store,
+                &mut engine,
+                RoundCodec::Static(&codec),
+                &mut UniformSelector,
+                &FoldPolicy::Mean,
+                Some(&ledger),
+                rng,
+                &mut LocalTransport,
+            );
+            ledger.totals()
+        })
+        .collect()
 }
 
 #[test]
@@ -78,34 +115,29 @@ fn communication_is_metered_per_exchange() {
             )
         })
         .collect();
-    let spec = ArchSpec::mlp("t", 16, &[8], 3);
-    let init = Sequential::build(&spec, &mut rng).params_flat();
-    let ledger = CommLedger::new();
-    let cohort: Vec<&Party> = parties.iter().collect();
-    shiftex::fl::run_round(
-        &spec,
-        &init,
-        &cohort,
-        &shiftex::fl::RoundConfig::default(),
-        Some(&ledger),
-        &mut rng,
-    );
-    let totals = ledger.totals();
+    let mut fedavg = FedAvg::new(ArchSpec::mlp("t", 16, &[8], 3), TrainConfig::default(), 4);
+    let codec = CodecSpec::dense();
+    let totals = drive(&mut fedavg, parties, codec, 2, &mut rng);
+    let n = fedavg.params().len();
     // One download + one upload per participant, at the codec's exact frame
     // sizes (dense: 6-byte header broadcasts, 22-byte-header updates, 4
-    // bytes per parameter — not a nominal guess).
-    assert_eq!(totals.messages, 8);
-    let codec = shiftex::fl::CodecSpec::dense();
-    assert_eq!(totals.up_bytes, codec.update_len(init.len()) as u64 * 4);
+    // bytes per parameter — not a nominal guess). Round 1's downloads are
+    // first contacts: self-contained full-state frames on their own counter.
+    assert_eq!(totals[0].messages, 8);
+    assert_eq!(totals[0].up_bytes, codec.update_len(n) as u64 * 4);
+    assert_eq!(totals[0].down_bytes, 0);
     assert_eq!(
-        totals.down_bytes,
-        codec.broadcast_len(init.len()) as u64 * 4
+        totals[0].first_contact_down_bytes,
+        codec.first_contact_spec().broadcast_len(n) as u64 * 4
     );
+    // From round 2 on every recipient holds the reference.
+    assert_eq!(totals[1].messages, 16);
+    assert_eq!(totals[1].up_bytes, codec.update_len(n) as u64 * 8);
+    assert_eq!(totals[1].down_bytes, codec.broadcast_len(n) as u64 * 4);
 }
 
 #[test]
 fn quantized_uploads_shrink_the_metered_bill() {
-    use shiftex::fl::{CodecSpec, RoundConfig};
     let mut rng = StdRng::seed_from_u64(1);
     let gen = PrototypeGenerator::new(ImageShape::new(1, 8, 8), 3, &mut rng);
     let parties: Vec<Party> = (0..4)
@@ -120,19 +152,13 @@ fn quantized_uploads_shrink_the_metered_bill() {
     // Realistic enough that per-update frame overhead stops dominating:
     // ~2.2k parameters already sits at the asymptotic ~3.9x int8 ratio.
     let spec = ArchSpec::mlp("t", 64, &[32], 3);
-    let init = Sequential::build(&spec, &mut rng).params_flat();
-    let cohort: Vec<&Party> = parties.iter().collect();
 
     let mut up = Vec::new();
     for codec in [CodecSpec::dense(), CodecSpec::quant8(256).with_delta()] {
-        let ledger = CommLedger::new();
-        let cfg = RoundConfig {
-            codec,
-            ..RoundConfig::default()
-        };
+        let mut fedavg = FedAvg::new(spec.clone(), TrainConfig::default(), 4);
         let mut rng = StdRng::seed_from_u64(2);
-        shiftex::fl::run_round(&spec, &init, &cohort, &cfg, Some(&ledger), &mut rng);
-        up.push(ledger.totals().up_bytes);
+        let totals = drive(&mut fedavg, parties.clone(), codec, 1, &mut rng);
+        up.push(totals[0].up_bytes);
     }
     let ratio = up[0] as f64 / up[1] as f64;
     assert!(
@@ -158,7 +184,7 @@ fn aggregator_state_contains_no_raw_samples() {
         .collect();
     let spec = ArchSpec::mlp("t", 64, &[16], 4);
     let mut shiftex = ShiftEx::new(ShiftExConfig::default(), spec, &mut rng);
-    shiftex.bootstrap(&parties, 2, &mut rng);
+    drive(&mut shiftex, parties, CodecSpec::dense(), 2, &mut rng);
 
     // Everything the aggregator retains per party is embedding-space.
     for stats in shiftex.party_stats() {

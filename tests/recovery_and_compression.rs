@@ -6,6 +6,70 @@ use rand::{rngs::StdRng, SeedableRng};
 use shiftex::core::{distill_experts, DistillConfig, RegistrySnapshot, ShiftEx, ShiftExConfig};
 use shiftex::data::{DatasetKind, SimScale};
 use shiftex::experiments::Scenario;
+use shiftex::fl::{
+    evaluate_on_view, run_algorithm_round, CodecSpec, FederatedAlgorithm, FoldPolicy,
+    LocalTransport, PopulationStore, RoundCodec, ScenarioEngine, ScenarioSpec, UniformSelector,
+};
+
+/// `rounds` clean synchronous rounds of `sx` on the unified driver.
+fn train(
+    sx: &mut ShiftEx,
+    store: &PopulationStore,
+    engine: &mut ScenarioEngine,
+    rounds: usize,
+    rng: &mut StdRng,
+) {
+    for _ in 0..rounds {
+        run_algorithm_round(
+            sx,
+            store,
+            engine,
+            RoundCodec::Static(&CodecSpec::dense()),
+            &mut UniformSelector,
+            &FoldPolicy::Mean,
+            None,
+            rng,
+            &mut LocalTransport,
+        );
+    }
+}
+
+/// Enrols a ShiftEx on `scenario`'s population, runs its burn-in, then
+/// `windows` shifted windows of `rounds_per_window` rounds each.
+fn run_windows(
+    scenario: &Scenario,
+    windows: usize,
+    rng: &mut StdRng,
+) -> (ShiftEx, PopulationStore, ScenarioEngine) {
+    let cfg = ShiftExConfig {
+        participants_per_round: scenario.participants_per_round(),
+        ..ShiftExConfig::default()
+    };
+    let mut sx = ShiftEx::new(cfg, scenario.spec.clone(), rng);
+    let mut store = PopulationStore::from_parties(scenario.initial_parties(rng));
+    let ids = store.party_ids();
+    let mut engine = ScenarioEngine::new(ScenarioSpec::sync(scenario.seed), &ids);
+    sx.init(&store.view(ids.clone()), rng);
+    train(
+        &mut sx,
+        &store,
+        &mut engine,
+        scenario.bootstrap_rounds(),
+        rng,
+    );
+    for w in 1..=windows {
+        store.advance_window_with(w, |p| scenario.advance_party(p, w, rng));
+        sx.process_window(&store.view(ids.clone()), rng);
+        train(
+            &mut sx,
+            &store,
+            &mut engine,
+            scenario.rounds_per_window,
+            rng,
+        );
+    }
+    (sx, store, engine)
+}
 
 /// Runs a scenario half-way, snapshots, "restarts" the aggregator, restores,
 /// and verifies the restored instance serves identically and can continue.
@@ -13,42 +77,27 @@ use shiftex::experiments::Scenario;
 fn aggregator_recovers_from_snapshot_mid_scenario() {
     let scenario = Scenario::build(DatasetKind::Cifar10C, SimScale::Smoke, 17);
     let mut rng = StdRng::seed_from_u64(1);
-    let cfg = ShiftExConfig {
-        participants_per_round: scenario.participants_per_round(),
-        ..ShiftExConfig::default()
-    };
-    let mut sx = ShiftEx::new(cfg.clone(), scenario.spec.clone(), &mut rng);
-    let mut parties = scenario.initial_parties(&mut rng);
-    sx.bootstrap(&parties, 0, &mut rng);
-    for _ in 0..scenario.bootstrap_rounds() {
-        ShiftEx::train_round(&mut sx, &parties, &mut rng);
-    }
     // Two shifted windows so the registry holds real structure.
-    for w in 1..=2 {
-        scenario.advance(&mut parties, w, &mut rng);
-        sx.process_window(&parties, &mut rng);
-        for _ in 0..scenario.rounds_per_window {
-            ShiftEx::train_round(&mut sx, &parties, &mut rng);
-        }
-    }
+    let (sx, mut store, mut engine) = run_windows(&scenario, 2, &mut rng);
 
     // Snapshot → JSON → fresh process → restore.
     let json = sx.snapshot().to_json().expect("snapshot serialises");
-    let mut restored = ShiftEx::new(cfg, scenario.spec.clone(), &mut rng);
+    let mut restored = ShiftEx::new(sx.config().clone(), scenario.spec.clone(), &mut rng);
     restored.restore(RegistrySnapshot::from_json(&json).expect("snapshot parses"));
 
     assert_eq!(restored.num_experts(), sx.num_experts());
     assert_eq!(restored.assignments(), sx.assignments());
-    let a = sx.evaluate(&parties);
-    let b = restored.evaluate(&parties);
+    let parties = store.view(store.party_ids());
+    let a = sx.eval(&parties);
+    let b = restored.eval(&parties);
     assert!((a - b).abs() < 1e-6, "restored serving accuracy {b} != {a}");
 
     // The restored aggregator keeps operating: next window processes and
     // trains without panicking, and thresholds carried over.
-    scenario.advance(&mut parties, 3, &mut rng);
-    let report = restored.process_window(&parties, &mut rng);
+    store.advance_window_with(3, |p| scenario.advance_party(p, 3, &mut rng));
+    let report = restored.process_window(&store.view(store.party_ids()), &mut rng);
     assert!(report.delta_cov > 0.0, "thresholds must survive restore");
-    ShiftEx::train_round(&mut restored, &parties, &mut rng);
+    train(&mut restored, &store, &mut engine, 1, &mut rng);
 }
 
 /// Distils a multi-expert pool into one student on regime-covering reference
@@ -57,23 +106,7 @@ fn aggregator_recovers_from_snapshot_mid_scenario() {
 fn expert_pool_compresses_via_distillation() {
     let scenario = Scenario::build(DatasetKind::Cifar10C, SimScale::Smoke, 23);
     let mut rng = StdRng::seed_from_u64(2);
-    let cfg = ShiftExConfig {
-        participants_per_round: scenario.participants_per_round(),
-        ..ShiftExConfig::default()
-    };
-    let mut sx = ShiftEx::new(cfg, scenario.spec.clone(), &mut rng);
-    let mut parties = scenario.initial_parties(&mut rng);
-    sx.bootstrap(&parties, 0, &mut rng);
-    for _ in 0..scenario.bootstrap_rounds() {
-        ShiftEx::train_round(&mut sx, &parties, &mut rng);
-    }
-    for w in 1..=scenario.eval_windows() {
-        scenario.advance(&mut parties, w, &mut rng);
-        sx.process_window(&parties, &mut rng);
-        for _ in 0..scenario.rounds_per_window {
-            ShiftEx::train_round(&mut sx, &parties, &mut rng);
-        }
-    }
+    let (sx, store, _engine) = run_windows(&scenario, scenario.eval_windows(), &mut rng);
 
     // Regime-covering reference set (clear + every pool regime).
     let mut pool_rng = StdRng::seed_from_u64(3);
@@ -99,10 +132,9 @@ fn expert_pool_compresses_via_distillation() {
         report.teacher_agreement
     );
 
-    let moe_acc = sx.evaluate(&parties);
-    let student_acc = shiftex::core::strategy::evaluate_assigned(&scenario.spec, &parties, |_| {
-        report.student_params.as_slice()
-    });
+    let parties = store.view(store.party_ids());
+    let moe_acc = sx.eval(&parties);
+    let student_acc = evaluate_on_view(&scenario.spec, &report.student_params, &parties);
     assert!(
         student_acc > moe_acc - 0.25,
         "student {student_acc} should retain most of the mixture's {moe_acc}"
